@@ -11,11 +11,14 @@
 #include "crypto/ring_kernels.hpp"
 #include "nn/layers.hpp"
 #include "proto/secure_ops.hpp"
+#include "support/test_models.hpp"
 
 namespace nn = pasnet::nn;
 namespace pc = pasnet::crypto;
 namespace kern = pasnet::crypto::kern;
 namespace proto = pasnet::proto;
+
+using pasnet::testing::run_staged;
 
 namespace {
 
@@ -82,20 +85,19 @@ void bm_drelu_dh_masked(benchmark::State& state) {
 }
 BENCHMARK(bm_drelu_dh_masked)->Arg(256);
 
-void bm_secure_relu(benchmark::State& state) {
+void bm_staged_relu(benchmark::State& state) {
   pc::TwoPartyContext ctx;
   pc::Prng prng(6);
   nn::Tensor x = nn::Tensor::randn({1, 16, 16, 16}, prng, 1.0f);
   const auto sx = proto::share_tensor(x, prng, ctx.ring());
-  proto::SecureConfig cfg;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(proto::secure_relu(ctx, sx, cfg).size());
+    benchmark::DoNotOptimize(run_staged(ctx, proto::StagedRelu(sx, pc::OtMode::correlated)).size());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<long long>(x.size()));
 }
-BENCHMARK(bm_secure_relu)->Unit(benchmark::kMillisecond);
+BENCHMARK(bm_staged_relu)->Unit(benchmark::kMillisecond);
 
-void bm_secure_conv(benchmark::State& state) {
+void bm_staged_conv(benchmark::State& state) {
   pc::TwoPartyContext ctx;
   pc::Prng prng(7), wprng(8);
   nn::Conv2d conv(8, 8, 3, 1, 1, wprng);
@@ -103,11 +105,13 @@ void bm_secure_conv(benchmark::State& state) {
   const auto sx = proto::share_tensor(x, prng, ctx.ring());
   const auto sw = pc::share_reals(conv.weight().to_doubles(), prng, ctx.ring());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(proto::secure_conv2d(ctx, sx, sw, nullptr, 8, 3, 1, 1).size());
+    benchmark::DoNotOptimize(
+        run_staged(ctx, proto::StagedConv2d(sx, sw, nullptr, 8, 3, 1, 1, /*depthwise=*/false))
+            .size());
   }
   state.SetBytesProcessed(state.iterations() * static_cast<long long>(ctx.stats().total_bytes()));
 }
-BENCHMARK(bm_secure_conv)->Unit(benchmark::kMillisecond);
+BENCHMARK(bm_staged_conv)->Unit(benchmark::kMillisecond);
 
 // -- ring-kernel layer (scalar vs SIMD vs GEMM lowering) ---------------------
 // Each kernel bench runs twice: Arg(...,0) forces the scalar reference

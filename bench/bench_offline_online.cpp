@@ -6,9 +6,10 @@
 // - bm_serve_batch/store:0 vs store:1: the fused dealer-inline baseline
 //   against the online-only phase served from a pregenerated store, at zero
 //   latency (compute-bound: the online phase drops all triple-generation
-//   work) and at simulated LAN/WAN wire latency.  The store path reports
-//   online_KB_per_query — the query-dependent traffic left after weight
-//   openings amortize.
+//   work) and at simulated LAN/WAN wire latency.  Both report
+//   input_dependent_KB_per_query — the traffic that depends on the query
+//   input; the weight openings make up the rest of comm_KB_per_query and
+//   are re-sent on every query.
 // - bm_offline_online_smoke: a 2-query end-to-end pass (generate → serve →
 //   verify bit-identical logits against the fused path), run in CI.
 //
@@ -93,7 +94,7 @@ void bm_serve_batch(benchmark::State& state) {
   proto::Workload wl(snet, {proto::WorkloadKind::logits, /*batch=*/1, workers});
   pasnet::obs::Tracer tracer(true);
   wl.set_tracer(&tracer);
-  std::uint64_t per_query_bytes = 0, online_bytes = 0;
+  std::uint64_t per_query_bytes = 0, input_bytes = 0;
   for (auto _ : state) {
     off::TripleStore store;
     if (store_backed) {
@@ -110,13 +111,13 @@ void bm_serve_batch(benchmark::State& state) {
       state.ResumeTiming();
     }
     per_query_bytes = wl.chunk_stats().front().totals.comm_bytes;
-    online_bytes = wl.chunk_stats().front().totals.online_bytes();
+    input_bytes = wl.chunk_stats().front().totals.online_bytes();
   }
   state.SetItemsProcessed(state.iterations() * kBatch);
   state.counters["qps"] = benchmark::Counter(
       static_cast<double>(state.iterations() * kBatch), benchmark::Counter::kIsRate);
   state.counters["comm_KB_per_query"] = static_cast<double>(per_query_bytes) / 1024.0;
-  state.counters["online_KB_per_query"] = static_cast<double>(online_bytes) / 1024.0;
+  state.counters["input_dependent_KB_per_query"] = static_cast<double>(input_bytes) / 1024.0;
   pasnet::benchutil::report_tracer_counters(state, tracer);
 }
 
@@ -151,7 +152,7 @@ void bm_offline_online_smoke(benchmark::State& state) {
       }
     }
     state.counters["offline_MB"] = static_cast<double>(rep.store_bytes) / (1024.0 * 1024.0);
-    state.counters["online_KB_per_query"] =
+    state.counters["input_dependent_KB_per_query"] =
         static_cast<double>(wl.chunk_stats().front().totals.online_bytes()) / 1024.0;
   }
 }

@@ -98,7 +98,8 @@ int main() {
     correct += (label[0] == qy[0]);
     std::printf("query %d -> private label %d (true %d)\n", q, label[0], qy[0]);
   }
-  std::printf("\n%d/%d correct; per-query traffic %.1f KB online\n", correct, queries,
+  std::printf("\n%d/%d correct; per-query traffic %.1f KB, %.1f KB of it input-dependent\n",
+              correct, queries, workload.stats().comm_bytes / 1024.0,
               workload.stats().online_bytes() / 1024.0);
 
   // Deployment-side profile report for capacity planning.

@@ -123,7 +123,8 @@ int main(int argc, char** argv) {
   const auto logits = std::move(workload.run({qx}).logits[0]);
   std::printf("functional 2PC run (scaled model, in-process simulation):\n");
   std::printf("  prediction: class %d (true label %d)\n", nn::argmax_rows(logits)[0], qy[0]);
-  std::printf("  traffic:    %.1f KB total, %.1f KB online (weight openings amortize), %llu rounds\n",
+  std::printf("  traffic:    %.1f KB total, %.1f KB input-dependent (the weight openings are "
+              "re-sent every query), %llu rounds\n",
               workload.stats().comm_bytes / 1024.0, workload.stats().online_bytes() / 1024.0,
               static_cast<unsigned long long>(workload.stats().rounds));
   std::printf("  offline:    %llu matmul-triple elems, %llu square pairs, %llu bit triples\n\n",
@@ -233,7 +234,7 @@ int main(int argc, char** argv) {
                   used_lanes, used_workers);
       std::printf("  %6.1f queries/sec (%.0f ms total)\n", batch / secs, secs * 1e3);
       std::printf("  first chunk (%zu lanes): %.1f KB on the wire, of which %.1f KB is "
-                  "query-dependent\n",
+                  "input-dependent\n",
                   cs.queries, cs.totals.comm_bytes / 1024.0, cs.totals.online_bytes() / 1024.0);
       std::printf("  sample prediction: class %d\n\n", nn::argmax_rows(online[0])[0]);
     }

@@ -50,7 +50,10 @@ struct BitShared {
 // its correlated randomness up front at begin() — in the exact order the
 // historical blocking protocol consumed it — so the dealer/TripleSource
 // request stream stays program-ordered (and store-backed replay stays
-// bit-identical) no matter how phases interleave across instances.
+// bit-identical) no matter how phases interleave across instances.  The
+// blocking functions below (millionaire_gt, drelu, relu, max_elem, ...)
+// run one machine as a group of its own, one flush per phase, so they
+// measure exactly the per-op rounds perf::ir_op_cost prices.
 
 /// Which per-context buffer a staged comparison needs flushed before its
 /// next step(): the OT buffer, the bit-open buffer, the ring OpenBuffer —
@@ -59,38 +62,35 @@ enum class CompareWait : std::uint8_t { ot, bits, opens, done };
 
 /// Flushes the context buffer `w` names (no-op for done).  The standalone
 /// drivers (one-shot protocol functions) use this to run a staged machine
-/// to completion under either buffer mode.
+/// to completion one phase at a time.
 void flush_compare_buffers(TwoPartyContext& ctx, CompareWait w);
 
 /// Per-context staging area for joint XOR-share openings — the Z2 analog
-/// of OpenBuffer.  Immediate mode opens each stage in its own symmetric
-/// exchange (the historical and_bits transcript); coalescing mode defers
-/// and flush() opens everything pending in ONE exchange.  Each stage's
-/// bits are packed to a byte boundary separately, so the on-wire bytes are
-/// identical to separate opens.
+/// of OpenBuffer: flush() opens everything pending in ONE exchange.  Each
+/// stage's bits are packed to a byte boundary separately, so the on-wire
+/// bytes are identical to separate opens.
 class BitOpenBuffer {
  public:
   explicit BitOpenBuffer(TwoPartyContext& ctx) : ctx_(ctx) {}
   BitOpenBuffer(const BitOpenBuffer&) = delete;
   BitOpenBuffer& operator=(const BitOpenBuffer&) = delete;
 
-  /// Stages x for opening; the reconstructed public bits land in *out.
+  /// Stages x for opening; the reconstructed public bits land in *out at
+  /// the next flush().
   void stage(BitShared x, std::vector<std::uint8_t>* out);
+  /// Opens every pending stage in one exchange; a failed exchange still
+  /// empties the buffer.
   void flush();
   void discard() noexcept { pending_.clear(); }
   [[nodiscard]] bool has_pending() const noexcept { return !pending_.empty(); }
-  void set_coalescing(bool on);
-  [[nodiscard]] bool coalescing() const noexcept { return coalescing_; }
 
  private:
   struct Pending {
     BitShared x;
     std::vector<std::uint8_t>* out;
   };
-  void open_batch(const Pending* batch, std::size_t count);
   TwoPartyContext& ctx_;
   std::vector<Pending> pending_;
-  bool coalescing_ = false;
 };
 
 /// Staged Beaver AND over Z2: stage() defers the (d, e) opening onto the

@@ -42,13 +42,11 @@ inline constexpr int kOtFanIn = 4;
     const std::vector<std::uint8_t>& choices, OtMode mode);
 
 /// Per-context staging area for (1,4)-OT batches — the OT analog of
-/// OpenBuffer.  In immediate mode (default) every stage runs its own OT
-/// dance (two messages, the historical transcript).  In coalescing mode —
-/// enabled by the IR executor for staged-comparison round groups — stages
-/// accumulate and flush() merges every pending request with the same
-/// (sender, mode) into ONE two-message OT batch, so independent comparison
-/// instances share the leaf round.  Receiver outputs are scattered back to
-/// each stage's output vector at flush.
+/// OpenBuffer.  Stages accumulate and flush() merges every pending request
+/// with the same (sender, mode) into ONE two-message OT batch, so the
+/// independent comparison instances of a round group share the leaf
+/// round.  Receiver outputs are scattered back to each stage's output
+/// vector at flush.
 class OtBuffer {
  public:
   explicit OtBuffer(TwoPartyContext& ctx) : ctx_(ctx) {}
@@ -61,17 +59,13 @@ class OtBuffer {
              OtMode mode);
 
   /// Runs every pending stage: consecutive stages sharing (sender, mode)
-  /// merge into one OT batch.  No-op when nothing is pending.
+  /// merge into one OT batch.  No-op when nothing is pending; a failed
+  /// dance still empties the buffer.
   void flush();
 
   /// Drops every pending stage (error-path cleanup; see OpenBuffer).
   void discard() noexcept { pending_.clear(); }
   [[nodiscard]] bool has_pending() const noexcept { return !pending_.empty(); }
-
-  /// Switches between immediate and coalescing staging.  Must not be
-  /// called with stages pending.
-  void set_coalescing(bool on);
-  [[nodiscard]] bool coalescing() const noexcept { return coalescing_; }
 
  private:
   struct Pending {
@@ -83,7 +77,6 @@ class OtBuffer {
   };
   TwoPartyContext& ctx_;
   std::vector<Pending> pending_;
-  bool coalescing_ = false;
 };
 
 /// 61-bit Mersenne-prime modular helpers (exposed for tests).

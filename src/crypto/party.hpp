@@ -21,14 +21,13 @@
 //    caller's thread: blocking channels make the lockstep schedule a valid
 //    schedule of the same protocol.
 //
-// Open coalescing: every joint opening is staged on the context's
-// OpenBuffer.  In immediate mode (default) each stage performs its own
-// exchange — the historical transcript.  In coalescing mode (enabled by
-// the IR round scheduler) stages accumulate and flush() opens everything
-// pending in ONE symmetric exchange — same values, same dealer/PRNG draw
-// order, fewer rounds.  That is what keeps the coalesced executor's logits
-// bit-identical to the eager path while its round count drops.
-//
+// Open staging: every joint opening of a staged protocol round is staged
+// on the context's OpenBuffer, and flush() opens everything pending in ONE
+// symmetric exchange.  A Beaver multiplication therefore costs one round
+// (E and F together), and the IR executor batches every opening of a
+// round group into that same exchange.  Staging never reorders dealer or
+// PRNG draws, so how ops are grouped changes rounds, never values.
+
 // Remote (two-process) deployment: a context constructed with a local
 // party id and a single channel endpoint (src/net's TransportChannel over
 // TCP) drives ONE party; the peer party runs the same program in another
@@ -139,12 +138,12 @@ class OpenBuffer {
   OpenBuffer& operator=(const OpenBuffer&) = delete;
 
   /// Stages x for opening; the reconstructed public value is written to
-  /// *out.  Immediate mode opens right away (one exchange per stage, the
-  /// historical transcript); coalescing mode defers until flush().
+  /// *out by the next flush().
   void stage(Shared x, RingVec* out);
 
   /// Opens everything staged since the last flush in one symmetric
-  /// exchange.  No-op when nothing is pending (always in immediate mode).
+  /// exchange.  No-op when nothing is pending.  A failed exchange still
+  /// empties the buffer before the exception propagates.
   void flush();
 
   /// Drops every pending stage without opening it (error-path cleanup:
@@ -154,11 +153,6 @@ class OpenBuffer {
   void discard() noexcept { pending_.clear(); }
   [[nodiscard]] bool has_pending() const noexcept { return !pending_.empty(); }
 
-  /// Switches between immediate and coalescing staging.  Must not be
-  /// called with stages pending.
-  void set_coalescing(bool on);
-  [[nodiscard]] bool coalescing() const noexcept { return coalescing_; }
-
  private:
   struct Pending {
     Shared x;
@@ -166,7 +160,6 @@ class OpenBuffer {
   };
   TwoPartyContext& ctx_;
   std::vector<Pending> pending_;
-  bool coalescing_ = false;
 };
 
 /// Everything the online phase of a 2PC evaluation needs.
@@ -254,16 +247,18 @@ class TwoPartyContext {
   /// Dedicated streams for the DH OT dance (receiver blinding exponents,
   /// sender ephemerals).  Those values are transcript-only — the derived
   /// pads cancel, so shares never depend on them — but the dance draws at
-  /// coalesced FLUSH time, where merged batches span comparison instances
-  /// (and, batched, lanes).  Keeping them off the share streams means flush
+  /// FLUSH time, where merged batches span comparison instances (and,
+  /// batched, lanes).  Keeping them off the share streams means flush
   /// scheduling can never shift a share-affecting draw, which is what lets
-  /// eager/coalesced/batched transcripts stay share-identical in dh_masked
-  /// mode too.  Seeded from the context seed, so remote processes agree.
+  /// any grouping of a program, batched or not, stay share-identical in
+  /// dh_masked mode too.  Seeded from the context seed, so remote
+  /// processes agree.
   [[nodiscard]] Prng& ot_prng(int party) noexcept { return party == 0 ? ot_prng0_ : ot_prng1_; }
   /// The stream ROLE-SECRET values are drawn from: DH-OT blinding
   /// exponents / sender ephemerals, OT-extension base secrets, and the
   /// OT-extension triple-generation half-stream seeds — values whose
-  /// secrecy against the *peer* is what the protocol's security rests on.  In the simulation modes (both parties in one process) this
+  /// secrecy against the *peer* is what the protocol's security rests on.
+  /// In the simulation modes (both parties in one process) this
   /// aliases ot_prng(party), so transcripts are unchanged there; in a
   /// remote process it is a private entropy-seeded stream, and asking for
   /// the PEER's role stream throws — the peer's secrets do not exist in
@@ -301,8 +296,8 @@ class TwoPartyContext {
   [[nodiscard]] OpenBuffer& opens() noexcept { return opens_; }
   /// The context's staged-OT buffer (crypto/ot.hpp) — the comparison
   /// stack's analog of opens(): independent comparison instances stage
-  /// their (1,4)-OT leaf batches here and a coalescing flush merges them
-  /// into one two-message round.
+  /// their (1,4)-OT leaf batches here and one flush merges them into one
+  /// two-message round.
   [[nodiscard]] OtBuffer& ots() noexcept { return *ots_; }
   /// The context's staged bit-open buffer (crypto/compare.hpp): AND-tree
   /// levels of independent comparisons open their masked (d, e) bits in
@@ -386,10 +381,10 @@ class TwoPartyContext {
 // Each *Round splits one multiplicative protocol into stage() — draw the
 // correlated randomness and stage the masked openings on ctx.opens() — and
 // finish() — recombine once the openings are public.  The one-shot
-// functions below are stage + flush + finish; the IR executor stages
-// several independent rounds and flushes them in one exchange.  Both paths
-// share the same arithmetic and the same draw order, which is what makes
-// their results bit-identical.
+// functions below are stage + flush + finish (one round each); the IR
+// executor stages several independent rounds and flushes them in one
+// exchange.  Both paths share the same arithmetic and the same draw order,
+// which is what makes their results bit-identical.
 
 /// Beaver elementwise multiplication (paper Eq. 2), staged.
 class MulRound {

@@ -14,34 +14,24 @@ using crypto::RingConfig;
 using crypto::Shared;
 using proto::SecureTensor;
 
-/// Restores the context buffers' staging modes on scope exit
-/// (exception-safe).  An exception mid-round-group leaves stages pending
-/// whose output pointers refer to ops this frame owns — discard them first
-/// so the unwind never throws from a destructor and the reused context
-/// cannot write through dangling pointers.
-class CoalescingScope {
+/// Discards the context buffers' pending stages on scope exit.  An
+/// exception mid-round-group leaves stages pending whose output pointers
+/// refer to ops this frame owns — dropping them keeps the unwind from
+/// throwing in a destructor and the reused context from writing through
+/// dangling pointers.
+class DiscardScope {
  public:
-  CoalescingScope(crypto::TwoPartyContext& ctx, bool on)
-      : ctx_(ctx), prev_opens_(ctx.opens().coalescing()), prev_ots_(ctx.ots().coalescing()),
-        prev_bits_(ctx.bit_opens().coalescing()) {
-    ctx_.opens().set_coalescing(on);
-    ctx_.ots().set_coalescing(on);
-    ctx_.bit_opens().set_coalescing(on);
-  }
-  ~CoalescingScope() {
+  explicit DiscardScope(crypto::TwoPartyContext& ctx) : ctx_(ctx) {}
+  ~DiscardScope() {
     ctx_.opens().discard();
     ctx_.ots().discard();
     ctx_.bit_opens().discard();
-    ctx_.opens().set_coalescing(prev_opens_);
-    ctx_.ots().set_coalescing(prev_ots_);
-    ctx_.bit_opens().set_coalescing(prev_bits_);
   }
-  CoalescingScope(const CoalescingScope&) = delete;
-  CoalescingScope& operator=(const CoalescingScope&) = delete;
+  DiscardScope(const DiscardScope&) = delete;
+  DiscardScope& operator=(const DiscardScope&) = delete;
 
  private:
   crypto::TwoPartyContext& ctx_;
-  bool prev_opens_, prev_ots_, prev_bits_;
 };
 
 /// Restores the context's installed triple source on scope exit — a lane
@@ -122,12 +112,11 @@ BatchExecResult execute_batch(const SecureProgram& p, const CompiledParams& para
   }
 
   const RingConfig& rc = ctx.ring();
-  const bool coalesce = opts.cfg.schedule == proto::RoundSchedule::coalesced;
   obs::Tracer* const tracer = ctx.tracer();
   const obs::SpanGuard run_span(tracer, "ir", "execute_batch",
                                 static_cast<std::int64_t>(lanes));
   crypto::OpenBuffer& opens = ctx.opens();
-  CoalescingScope mode(ctx, coalesce);
+  DiscardScope discard_guard(ctx);
   SourceScope source_guard(ctx, !opts.lane_sources.empty());
   PrngScope prng_guard(ctx, !opts.lane_prngs.empty());
   const auto use_lane = [&](std::size_t q) {
@@ -179,10 +168,10 @@ BatchExecResult execute_batch(const SecureProgram& p, const CompiledParams& para
   };
   const auto flush_group = [&] {
     if (staged.empty() && comps.empty()) return;
-    // One span per round-group flush: OT dances, AND levels and the
-    // coalesced openings of the whole group — across ops AND lanes — land
-    // inside it, which is where a latency profile shows the round
-    // structure the scheduler bought.
+    // One span per round-group flush, a direct child of execute_batch: OT
+    // dances, AND levels and the merged openings of the whole group —
+    // across ops AND lanes — land inside it, which is where a latency
+    // profile shows the round structure the scheduler bought.
     const obs::SpanGuard flush_span(tracer, "ir", "flush_group",
                                     static_cast<std::int64_t>(lanes));
     if (comps.empty()) {
@@ -254,15 +243,22 @@ BatchExecResult execute_batch(const SecureProgram& p, const CompiledParams& para
 
   for (std::size_t i = 0; i < p.ops.size(); ++i) {
     const Op& op = p.ops[i];
-    // Per-op span covering all K lanes' instances of this op: staging (and
-    // under the eager schedule the whole execution) of the op's work.
+    // A new round group, a read of a pending output, or the argmax terminal
+    // (which runs its own exchanges) first flushes the open group — before
+    // this op's span opens, so the flush is attributed to the group that
+    // staged it rather than to whichever op happened to trigger it.
+    const bool stages = op.stages_opens() || op.stages_compare();
+    if ((stages && staged_group != op.round_group) || op.multi_round() || input_pending(op)) {
+      flush_group();
+    }
+    // Per-op span covering the staging (or, for local ops and argmax, the
+    // whole execution) of all K lanes' instances of this op.
     const obs::SpanGuard op_span(tracer, "ir", op_kind_name(op.kind),
                                  static_cast<std::int64_t>(lanes));
     const auto in = [&](std::size_t q) -> const SecureTensor& {
       return acts[q][static_cast<std::size_t>(op.in0)];
     };
     if (op.stages_opens()) {
-      if (staged_group != op.round_group || input_pending(op)) flush_group();
       for (std::size_t q = 0; q < lanes; ++q) {
         if (opts.layer_hook) opts.layer_hook(q, op.layer);
         use_lane(q);
@@ -290,22 +286,14 @@ BatchExecResult execute_batch(const SecureProgram& p, const CompiledParams& para
             throw std::logic_error("ir::execute: unreachable staged kind");
         }
         sop->stage(ctx);
-        if (coalesce) {
-          staged.push_back(StagedInst{std::move(sop), i, q});
-          staged_group = op.round_group;
-          pending[i] = 1;
-        } else {
-          // Eager schedule: every staged opening already ran its own
-          // exchange; the lane's instance completes on the spot.
-          opens.flush();
-          deliver(q, i, sop->finish(ctx));
-        }
+        staged.push_back(StagedInst{std::move(sop), i, q});
       }
+      staged_group = op.round_group;
+      pending[i] = 1;
       continue;
     }
 
     if (op.stages_compare()) {
-      if (coalesce && (staged_group != op.round_group || input_pending(op))) flush_group();
       for (std::size_t q = 0; q < lanes; ++q) {
         if (opts.layer_hook) opts.layer_hook(q, op.layer);
         use_lane(q);
@@ -321,23 +309,14 @@ BatchExecResult execute_batch(const SecureProgram& p, const CompiledParams& para
           default:
             throw std::logic_error("ir::execute: unreachable compare kind");
         }
-        if (coalesce) {
-          cop->begin(ctx);
-          comps.push_back(CompInst{std::move(cop), i, q});
-          staged_group = op.round_group;
-          pending[i] = 1;
-        } else {
-          // Eager schedule: the comparison's phases run their own exchanges
-          // back to back (immediate buffers make every flush a no-op).
-          deliver(q, i, proto::run_compare_op(ctx, *cop));
-        }
+        cop->begin(ctx);
+        comps.push_back(CompInst{std::move(cop), i, q});
       }
+      staged_group = op.round_group;
+      pending[i] = 1;
       continue;
     }
 
-    // The argmax terminal runs its own exchanges; local ops may read group
-    // outputs.  Either way any pending group finishes first.
-    if (op.multi_round() || input_pending(op)) flush_group();
     for (std::size_t q = 0; q < lanes; ++q) {
       if (opts.layer_hook) opts.layer_hook(q, op.layer);
       use_lane(q);
@@ -381,8 +360,7 @@ BatchExecResult execute_batch(const SecureProgram& p, const CompiledParams& para
   if (out_op.kind == OpKind::argmax) return result;
 
   // Reveal the logits to the client: every lane's terminal opening stages
-  // on the open buffer, so the coalesced schedule reveals the whole batch
-  // in ONE joint exchange (the eager schedule opens per lane).
+  // on the open buffer, so the whole batch reveals in ONE joint exchange.
   const obs::SpanGuard reveal_span(tracer, "ir", "reveal_logits",
                                    static_cast<std::int64_t>(lanes));
   std::vector<crypto::RingVec> revealed(lanes);

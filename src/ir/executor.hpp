@@ -4,11 +4,13 @@
 //
 // Parameters are secret-shared once (share_parameters) and reused across
 // queries; execute() walks the program in order, staging the openings of
-// every round group on the context's OpenBuffer and flushing each group in
-// one exchange.  Because staging preserves the program-order dealer and
-// PRNG draw sequence, the coalesced schedule produces logits bit-identical
-// to the eager (open-per-exchange) schedule — only the round count and
-// message count drop.
+// every round group on the context's buffers and flushing each group
+// together: one exchange for all its single-round openings, one shared
+// phase walk for its comparisons.  There is one schedule — the program's
+// round groups.  Staging preserves the program-order dealer and PRNG draw
+// sequence, so regrouping a program (e.g. one group per op, the
+// differential oracle of the test suites) changes rounds and messages,
+// never values.
 //
 // execute_batch() generalizes the walk to K queries inside ONE context:
 // every op stages all K lanes' instances into the same round group, so
@@ -45,10 +47,9 @@ struct ExecOptions {
   /// its correlated randomness (the preprocessing-plan oracle hook).
   std::function<void(int)> layer_hook;
   /// Invoked with (op index, output tensor) as each op's secret-shared
-  /// output lands — after its round group delivers under the coalesced
-  /// schedule.  The differential test harness compares these shares
-  /// request-for-request between schedules; argmax terminals (label
-  /// outputs) are not reported.
+  /// output lands — after its round group delivers.  The differential test
+  /// harness compares these shares request-for-request between groupings
+  /// of one program; argmax terminals (label outputs) are not reported.
   std::function<void(std::size_t, const proto::SecureTensor&)> op_hook;
   /// Pre-shared input (non-owning; must outlive the call).  When set, the
   /// input op delivers a copy of these shares instead of sharing the

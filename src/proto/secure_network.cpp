@@ -17,8 +17,8 @@ SecureNetwork::SecureNetwork(const nn::ModelDescriptor& md, nn::Graph& trained,
   // Everything downstream (executor, plan, costing) works from shapes and
   // the shared params; drop the plaintext copy.
   ir::release_parameters(program_);
-  // Weight-shaped openings (2 directions each) are model constants;
-  // amortizable offline for a static model.
+  // Weight-shaped openings (2 directions each): their size is a model
+  // constant, but B is redrawn per query, so every query re-sends them.
   const auto wire = static_cast<std::uint64_t>(ctx.wire_bytes());
   for (std::size_t i = 0; i < program_.ops.size(); ++i) {
     const ir::Op& op = program_.ops[i];

@@ -19,9 +19,10 @@ namespace pasnet::proto {
 /// Per-inference protocol statistics.
 struct InferenceStats {
   std::uint64_t comm_bytes = 0;
-  /// Bytes spent opening weight-shaped E = W - B values.  For a static
-  /// model these openings happen once offline and amortize across queries;
-  /// online traffic is comm_bytes - weight_open_bytes.
+  /// Bytes spent opening weight-shaped E = W - B values.  B is a fresh
+  /// triple share per query, so these openings are re-sent on every query;
+  /// they do not depend on the input, which is what online_bytes() leaves
+  /// out.
   std::uint64_t weight_open_bytes = 0;
   std::uint64_t messages = 0;
   /// Latency-critical message exchanges.  A coalesced multi-open exchange
@@ -30,6 +31,7 @@ struct InferenceStats {
   /// counts are directly comparable.
   std::uint64_t rounds = 0;
 
+  /// Input-dependent bytes: comm_bytes minus the weight openings.
   [[nodiscard]] std::uint64_t online_bytes() const noexcept {
     return comm_bytes - weight_open_bytes;
   }
@@ -101,8 +103,8 @@ class SecureNetwork {
   /// invariant).
   [[nodiscard]] crypto::ExecMode exec_mode() const noexcept { return ctx_.mode(); }
   [[nodiscard]] const SecureConfig& config() const noexcept { return cfg_; }
-  /// Bytes of the weight-shaped E openings — a model constant that
-  /// amortizes offline for a static model (see InferenceStats).
+  /// Bytes of the weight-shaped E openings per query — a model constant,
+  /// re-sent on every query (see InferenceStats).
   [[nodiscard]] std::uint64_t weight_open_bytes() const noexcept { return weight_open_bytes_; }
 
  private:

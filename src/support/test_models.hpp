@@ -1,12 +1,16 @@
 #pragma once
-// Shared tiny-model fixtures used by the test suites and benches: a tiny
-// conv-bn-act-pool-fc model, a short training warm-up so batch-norm has
-// meaningful running statistics, and a tensor diff helper.
+// Shared fixtures used by the test suites and benches: a tiny
+// conv-bn-act-pool-fc model and the scaled backbone proxies, a short
+// training warm-up so batch-norm has meaningful running statistics, a
+// tensor diff helper, and the two drivers the differential suites share:
+// per_op_groups() (the one-group-per-op twin of a scheduled program) and
+// run_staged() (one staged operator run to completion on a bare context).
 
 #include <algorithm>
 #include <cmath>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "crypto/prng.hpp"
@@ -98,8 +102,8 @@ inline nn::ModelDescriptor proxy_mobilenet() {
 
 /// Every fixture model the acceptance criteria cover: the four TinyCNN
 /// activation/pooling variants plus the scaled backbone proxies.  The
-/// differential (staged-vs-eager) and plan-oracle suites iterate this
-/// list, so a new fixture added here is picked up by both.
+/// differential (scheduled vs per-op groups) and plan-oracle suites
+/// iterate this list, so a new fixture added here is picked up by both.
 inline std::vector<nn::ModelDescriptor> all_test_models() {
   return {
       tiny_cnn(nn::OpKind::relu, nn::OpKind::maxpool),
@@ -152,22 +156,52 @@ inline ir::SecureProgram parallel_relu_program(int k) {
   return p;
 }
 
+/// The one-group-per-op twin of `p`: every stageable op gets a round group
+/// of its own, so the executor flushes after each one.  Op order and draw
+/// order are unchanged, which makes it the differential oracle for the
+/// scheduled program: per-op shares are bit-identical, rounds can only
+/// grow, and bytes differ only by the merged-OT sender keys
+/// (perf::profile_program prices both programs exactly).
+inline ir::SecureProgram per_op_groups(ir::SecureProgram p) {
+  for (std::size_t i = 0; i < p.ops.size(); ++i) {
+    ir::Op& op = p.ops[i];
+    if (op.stages_opens() || op.stages_compare()) op.round_group = static_cast<int>(i);
+  }
+  return p;
+}
+
 /// Measured traffic of one execution of `p` on a fresh context, zero input.
-inline crypto::TrafficStats measured_program_traffic(const ir::SecureProgram& p,
-                                                     proto::RoundSchedule schedule) {
+inline crypto::TrafficStats measured_program_traffic(const ir::SecureProgram& p) {
   crypto::TwoPartyContext ctx;
   crypto::Prng wprng(1);
   const ir::CompiledParams params = ir::share_parameters(p, wprng, ctx.ring());
-  ir::ExecOptions opts;
-  opts.cfg.schedule = schedule;
-  (void)ir::execute(p, params, ctx, nn::Tensor({1, p.input_ch, p.input_h, p.input_w}), opts);
+  (void)ir::execute(p, params, ctx, nn::Tensor({1, p.input_ch, p.input_h, p.input_w}));
   return ctx.stats();
 }
 
 /// Measured rounds of one execution of `p` on a fresh context, zero input.
-inline std::uint64_t measured_program_rounds(const ir::SecureProgram& p,
-                                             proto::RoundSchedule schedule) {
-  return measured_program_traffic(p, schedule).rounds;
+inline std::uint64_t measured_program_rounds(const ir::SecureProgram& p) {
+  return measured_program_traffic(p).rounds;
+}
+
+/// Runs one staged operator to completion on a bare context: stage, flush,
+/// finish for the single-round ops; begin, then flush whatever it waits on
+/// and step until done for the comparisons.  The operator runs as a round
+/// group of its own, so it measures exactly perf::ir_op_cost's rounds.
+template <class StagedOp>
+proto::SecureTensor run_staged(crypto::TwoPartyContext& ctx, StagedOp&& op) {
+  if constexpr (std::is_base_of_v<proto::StagedCompareOp, std::decay_t<StagedOp>>) {
+    op.begin(ctx);
+    while (op.waiting() != crypto::CompareWait::done) {
+      crypto::flush_compare_buffers(ctx, op.waiting());
+      op.step(ctx);
+    }
+    return op.take(ctx);
+  } else {
+    op.stage(ctx);
+    ctx.opens().flush();
+    return op.finish(ctx);
+  }
 }
 
 /// A few steps of training so BN has meaningful running statistics.

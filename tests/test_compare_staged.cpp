@@ -1,20 +1,25 @@
 // Differential bit-identity harness for the staged (resumable) comparison
-// stack: the coalesced schedule — which advances every ReLU/maxpool
+// stack: the scheduled program — which advances every ReLU/maxpool
 // instance of a round group in lockstep through shared OT, AND-tree and
-// open rounds — must reproduce the eager schedule's secret shares
+// open rounds — must reproduce its one-group-per-op twin's secret shares
 // request-for-request, op for op, on every support/test_models.hpp model,
-// in lockstep and threaded modes, dealer-backed and TripleStore-backed.
-// Plus seeded randomized property tests for millionaire_gt / drelu over
-// adversarial fixed-point edge values.
+// in lockstep and threaded modes, with both OT instantiations,
+// dealer-backed and TripleStore-backed; both programs must measure
+// exactly the rounds and bytes perf::profile_program prices.  Plus seeded
+// randomized property tests for millionaire_gt / drelu over adversarial
+// fixed-point edge values.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "ir/passes.hpp"
+#include "ir/plan.hpp"
 #include "offline/triple_store.hpp"
+#include "perf/ir_cost.hpp"
 #include "proto/secure_network.hpp"
 #include "proto/workload.hpp"
 #include "support/test_models.hpp"
@@ -23,9 +28,11 @@ namespace ir = pasnet::ir;
 namespace nn = pasnet::nn;
 namespace off = pasnet::offline;
 namespace pc = pasnet::crypto;
+namespace perf = pasnet::perf;
 namespace proto = pasnet::proto;
 
 using pasnet::testing::all_test_models;
+using pasnet::testing::per_op_groups;
 using pasnet::testing::proxy_resnet;
 using pasnet::testing::tiny_cnn;
 using pasnet::testing::warm_up;
@@ -60,17 +67,15 @@ struct RunResult {
   std::uint64_t bytes = 0;
 };
 
-/// One query through ir::execute with the given schedule, capturing every
-/// op's output shares.  Context / parameter seeds are fixed so two runs
+/// One query through ir::execute, capturing every op's output shares.
+/// Context / parameter seeds are fixed so two groupings of one program
 /// differ only in their open scheduling.
-RunResult run_program(const ir::SecureProgram& p, proto::RoundSchedule schedule,
-                      pc::ExecMode mode, const nn::Tensor& x,
+RunResult run_program(const ir::SecureProgram& p, pc::ExecMode mode, const nn::Tensor& x,
                       pc::OtMode ot = pc::OtMode::correlated) {
   pc::TwoPartyContext ctx(pc::RingConfig{}, 42, mode);
   pc::Prng wprng(7);
   const ir::CompiledParams params = ir::share_parameters(p, wprng, ctx.ring());
   ir::ExecOptions opts;
-  opts.cfg.schedule = schedule;
   opts.cfg.ot_mode = ot;
   RunResult r;
   opts.op_hook = [&r](std::size_t i, const proto::SecureTensor& t) {
@@ -98,50 +103,72 @@ void expect_bit_identical(const nn::Tensor& a, const nn::Tensor& b, const char* 
   for (std::size_t i = 0; i < a.size(); ++i) ASSERT_EQ(a[i], b[i]) << what << " logit " << i;
 }
 
+/// Measured rounds and bytes must equal profile_program's exactly.
+void expect_analytic(const ir::SecureProgram& p, const RunResult& r, const std::string& what) {
+  const perf::LatencyModel m(perf::HardwareConfig::zcu104(), perf::NetworkConfig::lan_1gbps());
+  const pc::RingConfig rc{};
+  const perf::ProgramCost cost = perf::profile_program(m, p, rc.bits, rc.wire_bits);
+  EXPECT_EQ(r.rounds, static_cast<std::uint64_t>(cost.total.rounds)) << what;
+  EXPECT_EQ(r.bytes, cost.wire_bytes) << what;
+}
+
+/// The differential oracle on one trained fixture: the scheduled program
+/// and its one-group-per-op twin give bit-identical per-op shares, both
+/// measure exactly the analytic rounds/bytes, and scheduling never adds
+/// rounds — it must remove some on the residual ResNet proxies.
+void expect_oracle_holds(const Trained& t, pc::ExecMode mode, pc::OtMode ot, std::uint64_t seed) {
+  ir::SecureProgram p = ir::lower(t.md, *t.graph, t.node_of_layer);
+  ir::run_standard_passes(p);
+  const ir::SecureProgram twin = per_op_groups(p);
+  pc::Prng dprng(seed);
+  const auto x = nn::Tensor::randn({1, t.md.input_ch, t.md.input_h, t.md.input_w}, dprng, 0.5f);
+  const std::string what = t.md.name +
+                           (ot == pc::OtMode::dh_masked ? " dh_masked" : " correlated") +
+                           (mode == pc::ExecMode::threaded ? " threaded" : " lockstep");
+  const RunResult sched = run_program(p, mode, x, ot);
+  const RunResult per_op = run_program(twin, mode, x, ot);
+  expect_bit_identical(sched.logits, per_op.logits, what.c_str());
+  expect_same_shares(sched, per_op, what.c_str());
+  expect_analytic(p, sched, what + " scheduled");
+  expect_analytic(twin, per_op, what + " per-op groups");
+  EXPECT_LE(sched.rounds, per_op.rounds) << what;
+  if (t.md.name.rfind("ResNet", 0) == 0) {
+    EXPECT_LT(sched.rounds, per_op.rounds) << what;
+  }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Staged vs eager: per-op shares, all models, both execution modes
+// Scheduled vs one group per op: per-op shares, all models, both modes
 // ---------------------------------------------------------------------------
 
 TEST(CompareStaged, PerOpSharesBitIdenticalToEagerOnAllModels) {
-  // With the ideal-functionality OT the two schedules draw every PRNG and
-  // dealer stream in the same order, so not just the logits but every
-  // intermediate op's secret shares must match bit for bit.
+  // Grouping never reorders a PRNG or dealer draw, so not just the logits
+  // but every intermediate op's secret shares must match bit for bit.
   std::uint64_t seed = 500;
   for (auto& md : all_test_models()) {
-    auto t = train(md, seed += 2);
+    const Trained t = train(md, seed += 2);
+    expect_oracle_holds(t, pc::ExecMode::lockstep, pc::OtMode::correlated, seed + 1);
+  }
+}
+
+TEST(CompareStaged, ThreadedMatchesLockstepBothSchedules) {
+  std::uint64_t seed = 600;
+  for (auto& md : all_test_models()) {
+    const Trained t = train(md, seed += 2);
+    expect_oracle_holds(t, pc::ExecMode::threaded, pc::OtMode::correlated, seed + 1);
+    // Exchange-bracketed round counting is deterministic across modes, and
+    // the threaded shares equal the lockstep ones.
     ir::SecureProgram p = ir::lower(t.md, *t.graph, t.node_of_layer);
     ir::run_standard_passes(p);
     pc::Prng dprng(seed + 1);
     const auto x =
         nn::Tensor::randn({1, t.md.input_ch, t.md.input_h, t.md.input_w}, dprng, 0.5f);
-
-    const RunResult coal = run_program(p, proto::RoundSchedule::coalesced,
-                                       pc::ExecMode::lockstep, x);
-    const RunResult eager = run_program(p, proto::RoundSchedule::eager,
-                                        pc::ExecMode::lockstep, x);
-    expect_bit_identical(coal.logits, eager.logits, t.md.name.c_str());
-    expect_same_shares(coal, eager, t.md.name.c_str());
-    EXPECT_LT(coal.rounds, eager.rounds) << t.md.name;
-  }
-}
-
-TEST(CompareStaged, ThreadedMatchesLockstepBothSchedules) {
-  for (auto md : {tiny_cnn(nn::OpKind::relu, nn::OpKind::maxpool),
-                  proxy_resnet(nn::ActKind::relu, nn::PoolKind::maxpool)}) {
-    auto t = train(std::move(md), 600);
-    ir::SecureProgram p = ir::lower(t.md, *t.graph, t.node_of_layer);
-    ir::run_standard_passes(p);
-    pc::Prng dprng(601);
-    const auto x =
-        nn::Tensor::randn({1, t.md.input_ch, t.md.input_h, t.md.input_w}, dprng, 0.5f);
-    for (const auto schedule : {proto::RoundSchedule::coalesced, proto::RoundSchedule::eager}) {
-      const RunResult lock = run_program(p, schedule, pc::ExecMode::lockstep, x);
-      const RunResult thr = run_program(p, schedule, pc::ExecMode::threaded, x);
-      expect_bit_identical(lock.logits, thr.logits, t.md.name.c_str());
+    for (const auto& prog : {p, per_op_groups(p)}) {
+      const RunResult lock = run_program(prog, pc::ExecMode::lockstep, x);
+      const RunResult thr = run_program(prog, pc::ExecMode::threaded, x);
       expect_same_shares(lock, thr, t.md.name.c_str());
-      // Exchange-bracketed round counting is deterministic across modes.
       EXPECT_EQ(lock.rounds, thr.rounds) << t.md.name;
       EXPECT_EQ(lock.bytes, thr.bytes) << t.md.name;
     }
@@ -149,40 +176,56 @@ TEST(CompareStaged, ThreadedMatchesLockstepBothSchedules) {
 }
 
 TEST(CompareStaged, DhMaskedOtLogitsBitIdenticalToEager) {
-  // The full cryptographic OT path: blinding-key draws differ per merged
-  // batch, so only the reconstructed values are schedule-invariant.
-  auto t = train(tiny_cnn(nn::OpKind::relu, nn::OpKind::maxpool), 620);
-  ir::SecureProgram p = ir::lower(t.md, *t.graph, t.node_of_layer);
-  ir::run_standard_passes(p);
-  pc::Prng dprng(621);
-  const auto x = nn::Tensor::randn({1, 2, 8, 8}, dprng, 0.5f);
-  const RunResult coal = run_program(p, proto::RoundSchedule::coalesced,
-                                     pc::ExecMode::lockstep, x, pc::OtMode::dh_masked);
-  const RunResult eager = run_program(p, proto::RoundSchedule::eager,
-                                      pc::ExecMode::lockstep, x, pc::OtMode::dh_masked);
-  expect_bit_identical(coal.logits, eager.logits, "dh_masked");
+  // The full cryptographic OT path: the dance draws its blinding keys from
+  // the dedicated ot_prng streams at flush time, so merging OT batches
+  // differently never shifts a share-affecting draw — per-op shares stay
+  // bit-identical, in both exec modes.
+  std::uint64_t seed = 620;
+  for (auto& md : all_test_models()) {
+    const Trained t = train(md, seed += 2);
+    for (const auto mode : {pc::ExecMode::lockstep, pc::ExecMode::threaded}) {
+      expect_oracle_holds(t, mode, pc::OtMode::dh_masked, seed + 1);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
 // Dealer-backed vs TripleStore-backed serving under the staged stack
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// Serves the next stream position of `p` from a claimed store bundle on a
+/// fresh canonically seeded context — what a one-lane Workload chunk does,
+/// for any grouping of the network's program.
+nn::Tensor serve_from_store(const proto::SecureNetwork& snet, const ir::SecureProgram& p,
+                            off::TripleStore& store, const nn::Tensor& x) {
+  const auto [q, bundle] = store.claim_next();
+  pc::TwoPartyContext ctx(snet.ring(), proto::SecureNetwork::query_context_seed(q));
+  pc::TripleDealer fallback(snet.ring(), proto::SecureNetwork::query_dealer_seed(q));
+  off::StoreTripleSource source(bundle, fallback, off::ExhaustionPolicy::Throw);
+  ctx.set_triple_source(&source);
+  ir::ExecOptions opts;
+  opts.cfg = snet.config();
+  return ir::execute(p, snet.params(), ctx, x, opts).logits;
+}
+
+}  // namespace
+
 TEST(CompareStaged, StoreBackedStagedServingBitIdenticalAcrossSchedules) {
   for (auto md : {tiny_cnn(nn::OpKind::relu, nn::OpKind::maxpool),
                   proxy_resnet(nn::ActKind::relu, nn::PoolKind::maxpool)}) {
     auto t = train(std::move(md), 640);
-    pc::TwoPartyContext ctx_c, ctx_e, ctx_d;
-    proto::SecureConfig eager_cfg;
-    eager_cfg.schedule = proto::RoundSchedule::eager;
-    proto::SecureNetwork coalesced(t.md, *t.graph, t.node_of_layer, ctx_c);
-    proto::SecureNetwork eager(t.md, *t.graph, t.node_of_layer, ctx_e, eager_cfg);
+    pc::TwoPartyContext ctx_c, ctx_d;
+    proto::SecureNetwork scheduled(t.md, *t.graph, t.node_of_layer, ctx_c);
     proto::SecureNetwork dealer(t.md, *t.graph, t.node_of_layer, ctx_d);
-    proto::Workload wl_c(coalesced, {proto::WorkloadKind::logits, /*batch=*/1, /*worker_pairs=*/2});
-    proto::Workload wl_e(eager, {proto::WorkloadKind::logits, /*batch=*/1, /*worker_pairs=*/2});
+    proto::Workload wl_c(scheduled, {proto::WorkloadKind::logits, /*batch=*/1, /*worker_pairs=*/2});
     proto::Workload wl_d(dealer);
-    // The staged comparison phases consume the identical request stream,
-    // so one plan fingerprint covers both schedules.
-    ASSERT_EQ(wl_c.plan().fingerprint(), wl_e.plan().fingerprint()) << t.md.name;
+    // Round groups shape no triple request, so one plan fingerprint covers
+    // every grouping of the program.
+    const ir::SecureProgram twin = per_op_groups(scheduled.program());
+    ASSERT_EQ(wl_c.plan().fingerprint(), ir::derive_plan(twin, ctx_c.ring()).fingerprint())
+        << t.md.name;
 
     pc::Prng dprng(641);
     std::vector<nn::Tensor> queries;
@@ -191,14 +234,13 @@ TEST(CompareStaged, StoreBackedStagedServingBitIdenticalAcrossSchedules) {
           nn::Tensor::randn({1, t.md.input_ch, t.md.input_h, t.md.input_w}, dprng, 0.8f));
     }
     off::TripleStore store_c = wl_c.preprocess(queries.size());
-    off::TripleStore store_e = wl_e.preprocess(queries.size());
+    off::TripleStore store_twin = wl_c.preprocess(queries.size());
     wl_c.use_store(&store_c);
-    wl_e.use_store(&store_e);
     const auto out_c = wl_c.run(queries).logits;
-    const auto out_e = wl_e.run(queries).logits;
     const auto out_d = wl_d.run(queries).logits;  // fused dealer path
     for (std::size_t q = 0; q < queries.size(); ++q) {
-      expect_bit_identical(out_c[q], out_e[q], "store coalesced vs eager");
+      const nn::Tensor out_twin = serve_from_store(scheduled, twin, store_twin, queries[q]);
+      expect_bit_identical(out_c[q], out_twin, "store scheduled vs per-op groups");
       expect_bit_identical(out_c[q], out_d[q], "store vs dealer");
     }
   }
@@ -287,9 +329,8 @@ TEST(CompareStaged, DreluAgreesWithPlaintextSignOnEdgeValues) {
 }
 
 TEST(CompareStaged, StagedReluMatchesBlockingReluSharewise) {
-  // The one-shot relu drives the same staged machine the executor groups;
-  // under immediate buffers its transcript must equal the coalesced staged
-  // run's values exactly (same material, same arithmetic).
+  // The one-shot relu and the executor's StagedRelu drive the same staged
+  // machine from the same material, so their shares match exactly.
   const pc::RingConfig rc{};
   for (std::uint64_t seed = 21; seed <= 23; ++seed) {
     pc::Prng prng(seed);
@@ -299,16 +340,15 @@ TEST(CompareStaged, StagedReluMatchesBlockingReluSharewise) {
     const pc::Shared xa = pc::share(vals, prng, rc);
     const pc::Shared out_a = pc::relu(ctx_a, xa, pc::OtMode::correlated);
 
-    // Same context seed, staged drive with coalescing buffers on.
-    ctx_b.opens().set_coalescing(true);
-    ctx_b.ots().set_coalescing(true);
-    ctx_b.bit_opens().set_coalescing(true);
-    const pc::Shared out_b = pc::relu(ctx_b, xa, pc::OtMode::correlated);
-    ctx_b.opens().set_coalescing(false);
-    ctx_b.ots().set_coalescing(false);
-    ctx_b.bit_opens().set_coalescing(false);
+    // Same context seed, the operator-level staged form.
+    proto::SecureTensor sx;
+    sx.shape = {1, static_cast<int>(vals.size())};
+    sx.shares = xa;
+    const pc::Shared out_b =
+        pasnet::testing::run_staged(ctx_b, proto::StagedRelu(sx, pc::OtMode::correlated)).shares;
     ASSERT_EQ(out_a.s0, out_b.s0);
     ASSERT_EQ(out_a.s1, out_b.s1);
+    EXPECT_EQ(ctx_a.stats().rounds, ctx_b.stats().rounds);
     // Reconstruction matches plaintext ReLU of the signed values.
     const auto r = pc::reconstruct(out_a, rc);
     for (std::size_t i = 0; i < vals.size(); ++i) {

@@ -8,6 +8,7 @@
 #include "perf/lut.hpp"
 #include "data/synthetic.hpp"
 #include "proto/secure_ops.hpp"
+#include "support/test_models.hpp"
 
 namespace bl = pasnet::baselines;
 namespace core = pasnet::core;
@@ -22,10 +23,14 @@ TEST(FailureInjection, SecureConvRejectsWrongWeightShape) {
   const auto x = nn::Tensor::randn({1, 2, 4, 4}, prng, 1.0f);
   const auto sx = proto::share_tensor(x, prng, ctx.ring());
   const auto bad_w = pc::share_reals(std::vector<double>(10, 0.1), prng, ctx.ring());
-  EXPECT_THROW((void)proto::secure_conv2d(ctx, sx, bad_w, nullptr, 4, 3, 1, 1),
+  using pasnet::testing::run_staged;
+  EXPECT_THROW((void)run_staged(ctx, proto::StagedConv2d(sx, bad_w, nullptr, 4, 3, 1, 1,
+                                                         /*depthwise=*/false)),
                std::invalid_argument);
-  EXPECT_THROW((void)proto::secure_depthwise_conv2d(ctx, sx, bad_w, 3, 1, 1),
+  EXPECT_THROW((void)run_staged(ctx, proto::StagedConv2d(sx, bad_w, nullptr, 2, 3, 1, 1,
+                                                         /*depthwise=*/true)),
                std::invalid_argument);
+  EXPECT_FALSE(ctx.opens().has_pending());  // rejected before staging anything
 }
 
 TEST(FailureInjection, SecureLinearRejectsWrongWeightShape) {
@@ -34,7 +39,7 @@ TEST(FailureInjection, SecureLinearRejectsWrongWeightShape) {
   const auto x = nn::Tensor::randn({2, 8}, prng, 1.0f);
   const auto sx = proto::share_tensor(x, prng, ctx.ring());
   const auto bad_w = pc::share_reals(std::vector<double>(7, 0.1), prng, ctx.ring());
-  EXPECT_THROW((void)proto::secure_linear(ctx, sx, bad_w, nullptr, 3),
+  EXPECT_THROW((void)pasnet::testing::run_staged(ctx, proto::StagedLinear(sx, bad_w, nullptr, 3)),
                std::invalid_argument);
 }
 
@@ -105,6 +110,23 @@ TEST(FailureInjection, TruncatedRecvAfterPartialProtocolThrows) {
   ctx.chan(0).send_bytes({1, 2, 3});
   (void)ctx.chan(1).recv_bytes();
   EXPECT_THROW((void)ctx.chan(0).recv_bytes(), std::logic_error);
+}
+
+TEST(FailureInjection, FailedFlushLeavesNoPendingStages) {
+  // A remote endpoint whose peer never answers: the staged openings' flush
+  // throws, and the buffer must not keep stages pointing at the caller's
+  // unwound outputs.
+  auto [c0, c1] = pc::Channel::make_pair();
+  pc::TwoPartyContext ctx(pc::RingConfig{}, 42, /*local_party=*/0, *c0);
+  pc::Prng prng(6);
+  const auto a = pc::share(pc::RingVec{1, 2, 3}, prng, ctx.ring());
+  {
+    pc::RingVec ra, rb;
+    ctx.opens().stage(a, &ra);
+    ctx.opens().stage(a, &rb);
+    EXPECT_THROW(ctx.opens().flush(), std::logic_error);
+  }
+  EXPECT_FALSE(ctx.opens().has_pending());
 }
 
 TEST(FailureInjection, GraphDoubleInputRejected) {

@@ -1,6 +1,6 @@
 // Tests for the secure-inference IR: lowering, the pass pipeline
 // (batch-norm folding, x2act coefficient fusion, round scheduling), the
-// round-coalescing executor's bit-identity with the eager path, the
+// executor's bit-identity with the program's one-group-per-op twin, the
 // statically derived preprocessing plan against the dry-run recorder
 // oracle, and label-only classify().
 
@@ -12,6 +12,7 @@
 #include "ir/passes.hpp"
 #include "ir/plan.hpp"
 #include "offline/preprocessing_plan.hpp"
+#include "perf/ir_cost.hpp"
 #include "proto/secure_network.hpp"
 #include "proto/workload.hpp"
 #include "support/test_models.hpp"
@@ -20,6 +21,7 @@ namespace ir = pasnet::ir;
 namespace nn = pasnet::nn;
 namespace off = pasnet::offline;
 namespace pc = pasnet::crypto;
+namespace perf = pasnet::perf;
 namespace proto = pasnet::proto;
 
 using pasnet::testing::tiny_cnn;
@@ -61,6 +63,21 @@ nn::Tensor infer_one(proto::SecureNetwork& snet, const nn::Tensor& x,
   proto::WorkloadResult res = w.run({x});
   if (stats != nullptr) *stats = w.stats();
   return std::move(res.logits[0]);
+}
+
+/// The same query (stream position 0, dealer-backed) through the network's
+/// program regrouped to one round group per op — the differential oracle
+/// for the scheduled program infer_one runs.
+nn::Tensor infer_per_op(const proto::SecureNetwork& snet, const nn::Tensor& x,
+                        pc::TrafficStats* stats = nullptr) {
+  pc::TwoPartyContext ctx(snet.ring(), proto::SecureNetwork::query_context_seed(0));
+  ir::ExecOptions opts;
+  opts.cfg = snet.config();
+  nn::Tensor logits =
+      ir::execute(pasnet::testing::per_op_groups(snet.program()), snet.params(), ctx, x, opts)
+          .logits;
+  if (stats != nullptr) *stats = ctx.stats();
+  return logits;
 }
 
 }  // namespace
@@ -194,8 +211,7 @@ TEST(IrPasses, ParallelizeInstancesHoistsIndependentBranchOps) {
   // program (all-relu towers are truncation-free, so both orders open the
   // same values).
   using pasnet::testing::measured_program_rounds;
-  EXPECT_LT(measured_program_rounds(p, proto::RoundSchedule::coalesced),
-            measured_program_rounds(unhoisted, proto::RoundSchedule::coalesced));
+  EXPECT_LT(measured_program_rounds(p), measured_program_rounds(unhoisted));
 }
 
 TEST(IrPasses, ParallelizeInstancesIsANoOpOnAChain) {
@@ -221,80 +237,81 @@ TEST(IrPasses, ScheduleRejectsUnfoldedBatchnorm) {
 }
 
 // ---------------------------------------------------------------------------
-// Round-coalescing executor vs eager path
+// Scheduled program vs its one-group-per-op twin
 // ---------------------------------------------------------------------------
 
 TEST(IrExecutor, CoalescedLogitsBitIdenticalToEagerOnAllModels) {
   std::uint64_t seed = 20;
   for (auto& md : all_test_models()) {
     auto t = train(md, seed += 2);
-    pc::TwoPartyContext ctx_c, ctx_e;
-    proto::SecureConfig eager_cfg;
-    eager_cfg.schedule = proto::RoundSchedule::eager;
-    proto::SecureNetwork coalesced(t.md, *t.graph, t.node_of_layer, ctx_c);
-    proto::SecureNetwork eager(t.md, *t.graph, t.node_of_layer, ctx_e, eager_cfg);
+    pc::TwoPartyContext ctx;
+    proto::SecureNetwork snet(t.md, *t.graph, t.node_of_layer, ctx);
 
     pc::Prng dprng(seed + 1);
     const auto x =
         nn::Tensor::randn({1, t.md.input_ch, t.md.input_h, t.md.input_w}, dprng, 0.5f);
-    proto::InferenceStats stats_c, stats_e;
-    const auto logits_c = infer_one(coalesced, x, &stats_c);
-    const auto logits_e = infer_one(eager, x, &stats_e);
-    expect_bit_identical(logits_c, logits_e, t.md.name.c_str());
-    // Identical payloads, fewer exchanges.
-    EXPECT_EQ(stats_c.comm_bytes, stats_e.comm_bytes) << t.md.name;
-    EXPECT_LT(stats_c.rounds, stats_e.rounds) << t.md.name;
-    EXPECT_LT(stats_c.messages, stats_e.messages) << t.md.name;
+    proto::InferenceStats stats_c;
+    pc::TrafficStats stats_per_op;
+    const auto logits_c = infer_one(snet, x, &stats_c);
+    const auto logits_per_op = infer_per_op(snet, x, &stats_per_op);
+    expect_bit_identical(logits_c, logits_per_op, t.md.name.c_str());
+    // The same openings and bit packs in no more exchanges; merged OT
+    // batches only shed ephemeral sender keys.
+    EXPECT_LE(stats_c.comm_bytes, stats_per_op.total_bytes()) << t.md.name;
+    EXPECT_LE(stats_c.rounds, stats_per_op.rounds) << t.md.name;
+    EXPECT_LE(stats_c.messages, stats_per_op.messages) << t.md.name;
   }
 }
 
 TEST(IrExecutor, CoalescedStoreBackedServingBitIdenticalToEager) {
   auto t = train(tiny_cnn(nn::OpKind::relu, nn::OpKind::maxpool), 40);
-  pc::TwoPartyContext ctx_c, ctx_e;
-  proto::SecureConfig eager_cfg;
-  eager_cfg.schedule = proto::RoundSchedule::eager;
-  proto::SecureNetwork coalesced(t.md, *t.graph, t.node_of_layer, ctx_c);
-  proto::SecureNetwork eager(t.md, *t.graph, t.node_of_layer, ctx_e, eager_cfg);
-  proto::Workload wl_c(coalesced);
-  proto::Workload wl_e(eager);
-  // Both schedules consume the identical request stream, so one plan feeds
-  // both stores.
-  EXPECT_EQ(wl_c.plan().fingerprint(), wl_e.plan().fingerprint());
+  pc::TwoPartyContext ctx;
+  proto::SecureNetwork snet(t.md, *t.graph, t.node_of_layer, ctx);
+  proto::Workload wl(snet);
+  // Round groups shape no triple request: one plan covers every grouping.
+  EXPECT_EQ(wl.plan().fingerprint(),
+            ir::derive_plan(pasnet::testing::per_op_groups(snet.program()), ctx.ring())
+                .fingerprint());
 
   pc::Prng dprng(41);
   std::vector<nn::Tensor> queries;
   for (int q = 0; q < 3; ++q) queries.push_back(nn::Tensor::randn({1, 2, 8, 8}, dprng, 1.0f));
 
-  off::TripleStore store_c = wl_c.preprocess(queries.size());
-  off::TripleStore store_e = wl_e.preprocess(queries.size());
-  wl_c.use_store(&store_c);
-  wl_e.use_store(&store_e);
-  const auto out_c = wl_c.run(queries);
-  const auto out_e = wl_e.run(queries);
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    expect_bit_identical(out_c.logits[q], out_e.logits[q], "store-backed");
-  }
+  off::TripleStore store = wl.preprocess(queries.size());
+  wl.use_store(&store);
+  const auto out = wl.run(queries);
+  // Stream position 0 served from the store equals the per-op dealer run.
+  expect_bit_identical(out.logits[0], infer_per_op(snet, queries[0]), "store-backed");
 }
 
-TEST(IrExecutor, RoundsDropAtLeast25PercentOnResidualReluModel) {
-  // The acceptance bar: on a residual model with ReLU layers the coalesced
-  // scheduler must cut measured rounds by >= 25% vs the eager path.
-  auto t = train(proxy_resnet(nn::ActKind::relu, nn::PoolKind::maxpool), 50);
-  pc::TwoPartyContext ctx_c, ctx_e;
-  proto::SecureConfig eager_cfg;
-  eager_cfg.schedule = proto::RoundSchedule::eager;
-  proto::SecureNetwork coalesced(t.md, *t.graph, t.node_of_layer, ctx_c);
-  proto::SecureNetwork eager(t.md, *t.graph, t.node_of_layer, ctx_e, eager_cfg);
-
-  pc::Prng dprng(51);
-  const auto x = nn::Tensor::randn({1, 3, 8, 8}, dprng, 0.5f);
-  proto::InferenceStats stats_c, stats_e;
-  (void)infer_one(coalesced, x, &stats_c);
-  (void)infer_one(eager, x, &stats_e);
-  const auto measured = stats_c.rounds;
-  const auto baseline = stats_e.rounds;
-  EXPECT_LE(4 * measured, 3 * baseline)
-      << "coalesced " << measured << " vs eager " << baseline << " rounds";
+TEST(IrExecutor, ScheduledRoundsBelowPerOpGroupsOnResidualModels) {
+  // On both residual proxies the scheduler must merge some groups: strictly
+  // fewer measured rounds than one group per op, each figure exactly the
+  // analytic model's.
+  const perf::LatencyModel m(perf::HardwareConfig::zcu104(), perf::NetworkConfig::lan_1gbps());
+  std::uint64_t seed = 50;
+  for (const auto act : {nn::ActKind::relu, nn::ActKind::x2act}) {
+    auto t = train(proxy_resnet(act, act == nn::ActKind::relu ? nn::PoolKind::maxpool
+                                                              : nn::PoolKind::avgpool),
+                   seed += 2);
+    pc::TwoPartyContext ctx;
+    proto::SecureNetwork snet(t.md, *t.graph, t.node_of_layer, ctx);
+    pc::Prng dprng(seed + 1);
+    const auto x = nn::Tensor::randn({1, 3, 8, 8}, dprng, 0.5f);
+    proto::InferenceStats stats_c;
+    pc::TrafficStats stats_per_op;
+    (void)infer_one(snet, x, &stats_c);
+    (void)infer_per_op(snet, x, &stats_per_op);
+    const auto rc = ctx.ring();
+    const perf::ProgramCost sched =
+        perf::profile_program(m, snet.program(), rc.bits, rc.wire_bits);
+    const perf::ProgramCost per_op = perf::profile_program(
+        m, pasnet::testing::per_op_groups(snet.program()), rc.bits, rc.wire_bits);
+    EXPECT_EQ(stats_c.rounds, static_cast<std::uint64_t>(sched.total.rounds));
+    EXPECT_EQ(stats_per_op.rounds, static_cast<std::uint64_t>(per_op.total.rounds));
+    EXPECT_LT(stats_c.rounds, stats_per_op.rounds)
+        << "scheduled " << stats_c.rounds << " vs per-op groups " << stats_per_op.rounds;
+  }
 }
 
 TEST(IrExecutor, ThreadedCoalescedMatchesLockstepBitForBit) {

@@ -1,6 +1,8 @@
 // The observability layer itself: counter/span/sample recording, merge
 // aggregation, the Chrome-trace JSON schema (validated with the in-tree
-// obs::json reader), span nesting over a real secure inference, counter
+// obs::json reader), span nesting over a real secure inference, round-group
+// flush attribution (flushes are children of execute_batch, never of the
+// op that triggered them), counter
 // determinism across exec modes, and the overhead guard — an attached but
 // DISABLED tracer must add zero heap allocations to a secure inference
 // (the hot-path hooks are a pointer test and nothing else).
@@ -9,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -230,6 +233,52 @@ TEST(ObsTracer, SecureInferenceSpansNestPerThread) {
       open_ends.push_back(end);
     }
   }
+}
+
+TEST(ObsTracer, FlushGroupSpansAreDirectChildrenOfExecuteBatch) {
+  // A round group's flush belongs to the group, not to whichever op
+  // happened to trigger it: on a traced ReLU ResNet-proxy run (residual
+  // adds read pending group outputs), no flush_group span nests inside an
+  // op span — execute_batch is the only span enclosing one.  A modeled
+  // per-round delay makes every flush last far longer than the timestamp
+  // resolution, so containment is unambiguous.
+  const nn::ModelDescriptor md =
+      pasnet::testing::proxy_resnet(nn::ActKind::relu, nn::PoolKind::maxpool);
+  pc::Prng wprng(71);
+  std::vector<int> node_of_layer;
+  auto g = nn::build_graph(md, wprng, &node_of_layer);
+  pasnet::testing::warm_up(*g, md.input_ch, md.input_h, 72);
+  pc::TwoPartyContext compile_ctx;
+  proto::SecureNetwork snet(md, *g, node_of_layer, compile_ctx);
+
+  pc::TwoPartyContext ctx(pc::RingConfig{}, 42, pc::ExecMode::lockstep,
+                          std::chrono::microseconds(50));
+  obs::Tracer tracer;
+  ctx.set_tracer(&tracer);
+  pc::Prng dprng(73);
+  (void)pasnet::ir::execute(
+      snet.program(), snet.params(), ctx,
+      nn::Tensor::randn({1, md.input_ch, md.input_h, md.input_w}, dprng, 0.5f));
+
+  const std::vector<obs::TraceEvent> events = tracer.events();
+  int flushes = 0;
+  for (const obs::TraceEvent& f : events) {
+    if (f.name != "flush_group") continue;
+    ++flushes;
+    ASSERT_GT(f.dur_us, 0u);
+    int enclosing = 0;
+    for (const obs::TraceEvent& ev : events) {
+      if (ev.dur_us <= f.dur_us || ev.ts_us > f.ts_us ||
+          ev.ts_us + ev.dur_us < f.ts_us + f.dur_us) {
+        continue;
+      }
+      ++enclosing;
+      EXPECT_EQ(ev.name, "execute_batch") << "flush_group at " << f.ts_us << " us nests in '"
+                                          << ev.name << "'";
+    }
+    EXPECT_EQ(enclosing, 1) << "flush_group at " << f.ts_us << " us";
+  }
+  EXPECT_GT(flushes, 10);
 }
 
 TEST(ObsTracer, CounterTotalsDeterministicAcrossExecModes) {

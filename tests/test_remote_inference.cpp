@@ -182,12 +182,38 @@ TEST(RemoteInference, FusedTwoProcessLogitsBitIdenticalAndTrafficEqual) {
 }
 
 TEST(RemoteInference, EagerScheduleMatchesToo) {
-  proto::SecureConfig cfg;
-  cfg.schedule = proto::RoundSchedule::eager;
-  RemoteFixture f(nn::OpKind::relu, nn::OpKind::maxpool, 1, cfg);
-  const auto outcome =
-      run_remote(f, f.snet->program(), [&](int) { return fused_opts(cfg); });
-  expect_remote_matches_reference(f, f.snet->program(), cfg, outcome);
+  // The one-group-per-op twin of the program (every op flushes on its own)
+  // over the real wire, fused and store-served: each run matches its
+  // in-process reference exactly, and reveals the scheduled program's
+  // logits bit for bit.
+  RemoteFixture f;
+  const proto::SecureConfig cfg;
+  const ir::SecureProgram per_op = pasnet::testing::per_op_groups(f.snet->program());
+  const auto fused = run_remote(f, per_op, [&](int) { return fused_opts(cfg); });
+  expect_remote_matches_reference(f, per_op, cfg, fused);
+
+  std::stringstream file(std::ios::in | std::ios::out | std::ios::binary);
+  proto::Workload(*f.snet).preprocess(2).save(file);
+  off::TripleStore copy[2];
+  for (int p = 0; p < 2; ++p) {
+    file.clear();
+    file.seekg(0);
+    copy[p] = off::TripleStore::load(file);
+  }
+  const auto stored = run_remote(f, per_op, [&](int party) {
+    net::RemoteSessionOptions o = fused_opts(cfg);
+    o.source = net::TripleSourceKind::store;
+    o.store = &copy[party];
+    return o;
+  });
+  expect_remote_matches_reference(f, per_op, cfg, stored);
+
+  for (std::size_t q = 0; q < f.queries.size(); ++q) {
+    const ir::ExecResult scheduled =
+        reference_query(f, f.snet->program(), q, pc::ExecMode::lockstep, cfg, nullptr);
+    expect_same_logits(fused.first.results[q].logits, scheduled.logits,
+                       "per-op groups vs scheduled");
+  }
 }
 
 TEST(RemoteInference, DhMaskedOtRunsOverTheRealWire) {

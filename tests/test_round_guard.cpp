@@ -174,8 +174,9 @@ TEST(RoundGuard, ParallelReluRoundsIndependentOfInstanceCount) {
   // The cross-instance coalescing acceptance bar: K independent ReLUs in
   // one round group cost the rounds of ONE comparison stack (shared OT
   // digits + shared AND levels + shared B2A/mux openings), exactly as the
-  // analytic walk predicts — while the eager schedule pays per instance.
+  // analytic walk predicts — while one group per op pays per instance.
   const auto m = model();
+  const pc::RingConfig rc{};
   std::uint64_t shared_rounds = 0;
   for (const int k : {1, 2, 4, 16}) {
     const ir::SecureProgram p = parallel_relu_program(k);
@@ -184,28 +185,30 @@ TEST(RoundGuard, ParallelReluRoundsIndependentOfInstanceCount) {
         EXPECT_EQ(op.round_group, 0) << p.name;
       }
     }
-    const pc::TrafficStats coalesced_traffic =
-        pasnet::testing::measured_program_traffic(p, proto::RoundSchedule::coalesced);
-    const std::uint64_t coalesced = coalesced_traffic.rounds;
-    const perf::ProgramCost cost =
-        perf::profile_program(m, p, pc::RingConfig{}.bits, pc::RingConfig{}.wire_bits);
-    EXPECT_EQ(coalesced, static_cast<std::uint64_t>(cost.total.rounds)) << p.name;
-    // The merged-OT byte asymmetry, priced exactly: one ephemeral sender
-    // key per merged flush means the coalesced schedule moves 8·(K-1)
-    // fewer bytes than eager for K merged ReLUs — both figures analytic.
-    const pc::TrafficStats eager_traffic =
-        pasnet::testing::measured_program_traffic(p, proto::RoundSchedule::eager);
-    EXPECT_EQ(coalesced_traffic.total_bytes(), cost.wire_bytes) << p.name;
-    EXPECT_EQ(eager_traffic.total_bytes(), cost.wire_bytes_eager) << p.name;
-    EXPECT_EQ(cost.wire_bytes_eager - cost.wire_bytes,
-              8u * static_cast<std::uint64_t>(k - 1))
+    const ir::SecureProgram per_op = pasnet::testing::per_op_groups(p);
+    const pc::TrafficStats scheduled_traffic = pasnet::testing::measured_program_traffic(p);
+    const pc::TrafficStats per_op_traffic = pasnet::testing::measured_program_traffic(per_op);
+    const perf::ProgramCost cost = perf::profile_program(m, p, rc.bits, rc.wire_bits);
+    const perf::ProgramCost per_op_cost = perf::profile_program(m, per_op, rc.bits, rc.wire_bits);
+    EXPECT_EQ(scheduled_traffic.rounds, static_cast<std::uint64_t>(cost.total.rounds)) << p.name;
+    EXPECT_EQ(per_op_traffic.rounds, static_cast<std::uint64_t>(per_op_cost.total.rounds))
         << p.name;
+    // The merged-OT byte asymmetry, priced exactly: one ephemeral sender
+    // key per merged flush means the scheduled program moves 8·(K-1) fewer
+    // bytes than one group per op for K merged ReLUs — measured and
+    // analytic alike.
+    EXPECT_EQ(scheduled_traffic.total_bytes(), cost.wire_bytes) << p.name;
+    EXPECT_EQ(per_op_traffic.total_bytes(), per_op_cost.wire_bytes) << p.name;
+    const auto merged_keys = 8u * static_cast<std::uint64_t>(k - 1);
+    EXPECT_EQ(per_op_traffic.total_bytes() - scheduled_traffic.total_bytes(), merged_keys)
+        << p.name;
+    EXPECT_EQ(per_op_cost.wire_bytes - cost.wire_bytes, merged_keys) << p.name;
     if (k == 1) {
-      shared_rounds = coalesced;
+      shared_rounds = scheduled_traffic.rounds;
     } else {
-      EXPECT_EQ(coalesced, shared_rounds)
+      EXPECT_EQ(scheduled_traffic.rounds, shared_rounds)
           << p.name << ": grouped comparison rounds must not depend on K";
-      EXPECT_GT(eager_traffic.rounds, coalesced) << p.name;
+      EXPECT_GT(per_op_traffic.rounds, scheduled_traffic.rounds) << p.name;
     }
   }
 }
@@ -233,7 +236,7 @@ TEST(RoundGuard, MixedCompareGroupSharesHeterogeneousPhases) {
     }
   }
   const auto m = model();
-  const std::uint64_t coalesced = measured_program_rounds(p, proto::RoundSchedule::coalesced);
+  const std::uint64_t coalesced = measured_program_rounds(p);
   const perf::ProgramCost cost = perf::profile_program(m, p, pc::RingConfig{}.bits);
   EXPECT_EQ(coalesced, static_cast<std::uint64_t>(cost.total.rounds));
 
@@ -242,7 +245,7 @@ TEST(RoundGuard, MixedCompareGroupSharesHeterogeneousPhases) {
   pool_only.ops[1].in0 = 0;
   pool_only.output = 1;
   ir::schedule_rounds(pool_only);
-  EXPECT_EQ(coalesced, measured_program_rounds(pool_only, proto::RoundSchedule::coalesced))
+  EXPECT_EQ(coalesced, measured_program_rounds(pool_only))
       << "relus must ride the pool's first-level phases for free";
 }
 

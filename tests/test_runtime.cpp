@@ -10,13 +10,17 @@
 #include <cstring>
 #include <thread>
 
+#include "crypto/compare.hpp"
 #include "nn/layers.hpp"
+#include "perf/ir_cost.hpp"
 #include "proto/secure_network.hpp"
 #include "proto/workload.hpp"
 #include "support/test_models.hpp"
 
+namespace ir = pasnet::ir;
 namespace nn = pasnet::nn;
 namespace pc = pasnet::crypto;
+namespace perf = pasnet::perf;
 namespace proto = pasnet::proto;
 
 using pasnet::testing::max_abs_diff;
@@ -233,7 +237,6 @@ TEST(RoundAccounting, CoalescedMultiOpenFlushIsOneRound) {
   const auto a = pc::share(pc::RingVec{1, 2}, prng, ctx.ring());
   const auto b = pc::share(pc::RingVec{3, 4, 5}, prng, ctx.ring());
   const auto c = pc::share(pc::RingVec{6}, prng, ctx.ring());
-  ctx.opens().set_coalescing(true);
   ctx.reset_stats();
   pc::RingVec ra, rb, rc_;
   ctx.opens().stage(a, &ra);
@@ -246,64 +249,89 @@ TEST(RoundAccounting, CoalescedMultiOpenFlushIsOneRound) {
   EXPECT_EQ(ra, pc::reconstruct(a, ctx.ring()));
   EXPECT_EQ(rb, pc::reconstruct(b, ctx.ring()));
   EXPECT_EQ(rc_, pc::reconstruct(c, ctx.ring()));
-  ctx.opens().set_coalescing(false);
-}
-
-TEST(RoundAccounting, ImmediateModeOpensPerStage) {
-  pc::TwoPartyContext ctx;
-  pc::Prng prng(13);
-  const auto a = pc::share(pc::RingVec{1, 2}, prng, ctx.ring());
-  const auto b = pc::share(pc::RingVec{3, 4}, prng, ctx.ring());
-  ctx.reset_stats();
-  pc::RingVec ra, rb;
-  ctx.opens().stage(a, &ra);
-  ctx.opens().stage(b, &rb);
-  ctx.opens().flush();  // no-op: everything already opened
-  EXPECT_EQ(ctx.stats().rounds, 2u);
-  EXPECT_EQ(ra, pc::reconstruct(a, ctx.ring()));
-  EXPECT_EQ(rb, pc::reconstruct(b, ctx.ring()));
 }
 
 TEST(RoundAccounting, DiscardDropsPendingStagesAndKeepsBufferUsable) {
   // Error-path contract: an unwound protocol step discards its pending
   // stages (no dangling output pointers), after which the buffer accepts
-  // mode switches and fresh work.
+  // fresh work.
   pc::TwoPartyContext ctx;
   pc::Prng prng(16);
   const auto a = pc::share(pc::RingVec{7, 8}, prng, ctx.ring());
-  ctx.opens().set_coalescing(true);
   pc::RingVec ra;
   ctx.opens().stage(a, &ra);
   EXPECT_TRUE(ctx.opens().has_pending());
-  EXPECT_THROW(ctx.opens().set_coalescing(false), std::logic_error);
   ctx.opens().discard();
   EXPECT_FALSE(ctx.opens().has_pending());
-  ctx.opens().set_coalescing(false);  // no throw once drained
   ctx.reset_stats();
   ctx.opens().flush();  // nothing pending: no traffic
   EXPECT_EQ(ctx.stats().messages, 0u);
   pc::RingVec rb;
-  ctx.opens().stage(a, &rb);  // immediate mode still works
+  ctx.opens().stage(a, &rb);
+  ctx.opens().flush();
   EXPECT_EQ(rb, pc::reconstruct(a, ctx.ring()));
+  EXPECT_EQ(ctx.stats().rounds, 1u);
 }
 
 TEST(RoundAccounting, MeasuredConvRoundsMatchAnalyticUnderCoalescing) {
   // The analytic model prices a conv at ONE round (E and F in the same
-  // exchange); the coalesced executor must measure exactly that.
+  // exchange); the staged conv run on its own must measure exactly that.
   pc::TwoPartyContext ctx;
   pc::Prng prng(14), wprng(15);
   nn::Conv2d conv(2, 4, 3, 1, 1, wprng);
   const auto x = nn::Tensor::randn({1, 2, 6, 6}, prng, 0.5f);
   const auto sx = proto::share_tensor(x, prng, ctx.ring());
   const auto sw = pc::share_reals(conv.weight().to_doubles(), prng, ctx.ring());
-  ctx.opens().set_coalescing(true);
   ctx.reset_stats();
-  (void)proto::secure_conv2d(ctx, sx, sw, nullptr, 4, 3, 1, 1);
+  (void)pasnet::testing::run_staged(
+      ctx, proto::StagedConv2d(sx, sw, nullptr, 4, 3, 1, 1, /*depthwise=*/false));
   EXPECT_EQ(ctx.stats().rounds, 1u);
-  ctx.opens().set_coalescing(false);
-  ctx.reset_stats();
-  (void)proto::secure_conv2d(ctx, sx, sw, nullptr, 4, 3, 1, 1);
-  EXPECT_EQ(ctx.stats().rounds, 2u);  // eager: E then F
+}
+
+TEST(RoundAccounting, BareContextOneShotsMatchAnalyticPerOpRounds) {
+  // Every buffer defers to flush(), so the crypto-level one-shots measure
+  // exactly the per-op rounds the analytic model prices: one Beaver
+  // multiplication is ONE round, a ReLU is DReLU + B2A + mux, and a k=2
+  // maxpool pays two tournament levels.
+  const perf::LatencyModel m(perf::HardwareConfig::zcu104(), perf::NetworkConfig::lan_1gbps());
+  pc::Prng prng(17);
+  {
+    pc::TwoPartyContext ctx;
+    const auto x = pc::share_reals({1.5, -2.0, 0.25}, prng, ctx.ring());
+    ctx.reset_stats();
+    (void)pc::mul_elem(ctx, x, x);
+    EXPECT_EQ(ctx.stats().rounds, 1u);
+  }
+  ir::Op relu;
+  relu.kind = ir::OpKind::relu;
+  relu.in_ch = relu.out_ch = 2;
+  relu.in_h = relu.in_w = relu.out_h = relu.out_w = 4;
+  const auto relu_rounds = static_cast<std::uint64_t>(perf::ir_op_cost(m, relu).rounds);
+  EXPECT_EQ(relu_rounds, 9u);
+  {
+    pc::TwoPartyContext ctx;
+    const auto x = pc::share_reals(std::vector<double>(32, -0.5), prng, ctx.ring());
+    ctx.reset_stats();
+    (void)pc::relu(ctx, x, pc::OtMode::correlated);
+    EXPECT_EQ(ctx.stats().rounds, relu_rounds);
+  }
+  ir::Op pool;
+  pool.kind = ir::OpKind::maxpool;
+  pool.kernel = pool.stride = 2;
+  pool.in_ch = pool.out_ch = 2;
+  pool.in_h = pool.in_w = 4;
+  pool.out_h = pool.out_w = 2;
+  const auto pool_rounds = static_cast<std::uint64_t>(perf::ir_op_cost(m, pool).rounds);
+  EXPECT_EQ(pool_rounds, 18u);
+  {
+    pc::TwoPartyContext ctx;
+    const auto sx = proto::share_tensor(nn::Tensor::randn({1, 2, 4, 4}, prng, 1.0f), prng,
+                                        ctx.ring());
+    ctx.reset_stats();
+    (void)pasnet::testing::run_staged(
+        ctx, proto::StagedMaxPool(sx, 2, 2, 0, pc::OtMode::correlated));
+    EXPECT_EQ(ctx.stats().rounds, pool_rounds);
+  }
 }
 
 // ---------------------------------------------------------------------------

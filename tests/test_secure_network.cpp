@@ -157,7 +157,7 @@ TEST(SecureNetwork, MeasuredBytesTrackAnalyticModelForPolyNet) {
   const auto x = nn::Tensor::randn({1, 1, 8, 8}, prng, 1.0f);
   const auto sx = proto::share_tensor(x, prng, ctx.ring());
   ctx.reset_stats();
-  (void)proto::secure_x2act(ctx, sx, 0.1, 1.0, 0.0);
+  (void)pasnet::testing::run_staged(ctx, proto::StagedX2act(sx, 0.1, 1.0, 0.0));
   // One square_elem: open E = 64 elems x 4B x 2 directions = 512 bytes.
   EXPECT_EQ(ctx.stats().total_bytes(), 64u * 4 * 2);
 }

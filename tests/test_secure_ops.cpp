@@ -4,10 +4,13 @@
 
 #include "nn/layers.hpp"
 #include "proto/secure_ops.hpp"
+#include "support/test_models.hpp"
 
 namespace nn = pasnet::nn;
 namespace pc = pasnet::crypto;
 namespace proto = pasnet::proto;
+
+using pasnet::testing::run_staged;
 
 namespace {
 
@@ -44,7 +47,7 @@ TEST(SecureConv, MatchesPlaintextConv) {
 
   const auto sx = proto::share_tensor(x, prng, ctx.ring());
   const auto sw = pc::share_reals(conv.weight().to_doubles(), prng, ctx.ring());
-  const auto out = proto::secure_conv2d(ctx, sx, sw, nullptr, 4, 3, 1, 1);
+  const auto out = run_staged(ctx, proto::StagedConv2d(sx, sw, nullptr, 4, 3, 1, 1, false));
   EXPECT_EQ(out.shape, want.shape());
   EXPECT_LT(max_abs_diff(proto::reconstruct_tensor(out, ctx.ring()), want), 0.05f);
 }
@@ -61,7 +64,7 @@ TEST(SecureConv, StridedWithBias) {
   const auto sx = proto::share_tensor(x, prng, ctx.ring());
   const auto sw = pc::share_reals(conv.weight().to_doubles(), prng, ctx.ring());
   const auto sb = pc::share_reals(conv.bias().to_doubles(), prng, ctx.ring());
-  const auto out = proto::secure_conv2d(ctx, sx, sw, &sb, 2, 3, 2, 1);
+  const auto out = run_staged(ctx, proto::StagedConv2d(sx, sw, &sb, 2, 3, 2, 1, false));
   EXPECT_LT(max_abs_diff(proto::reconstruct_tensor(out, ctx.ring()), want), 0.05f);
 }
 
@@ -74,7 +77,7 @@ TEST(SecureDepthwiseConv, MatchesPlaintext) {
 
   const auto sx = proto::share_tensor(x, prng, ctx.ring());
   const auto sw = pc::share_reals(dw.weight().to_doubles(), prng, ctx.ring());
-  const auto out = proto::secure_depthwise_conv2d(ctx, sx, sw, 3, 1, 1);
+  const auto out = run_staged(ctx, proto::StagedConv2d(sx, sw, nullptr, 3, 3, 1, 1, true));
   EXPECT_LT(max_abs_diff(proto::reconstruct_tensor(out, ctx.ring()), want), 0.05f);
 }
 
@@ -88,7 +91,7 @@ TEST(SecureLinear, MatchesPlaintext) {
   const auto sx = proto::share_tensor(x, prng, ctx.ring());
   const auto sw = pc::share_reals(fc.weight().to_doubles(), prng, ctx.ring());
   const auto sb = pc::share_reals(fc.bias().to_doubles(), prng, ctx.ring());
-  const auto out = proto::secure_linear(ctx, sx, sw, &sb, 4);
+  const auto out = run_staged(ctx, proto::StagedLinear(sx, sw, &sb, 4));
   EXPECT_EQ(out.shape, want.shape());
   EXPECT_LT(max_abs_diff(proto::reconstruct_tensor(out, ctx.ring()), want), 0.05f);
 }
@@ -102,7 +105,7 @@ TEST(SecureX2act, MatchesPlaintextPolynomial) {
 
   const auto sx = proto::share_tensor(x, prng, ctx.ring());
   const double a = act.effective_quadratic_coeff(2 * 3 * 3);
-  const auto out = proto::secure_x2act(ctx, sx, a, act.w2(), act.b());
+  const auto out = run_staged(ctx, proto::StagedX2act(sx, a, act.w2(), act.b()));
   EXPECT_LT(max_abs_diff(proto::reconstruct_tensor(out, ctx.ring()), want), 0.05f);
 }
 
@@ -111,7 +114,7 @@ TEST(SecureX2act, StpaiIdentityPassthrough) {
   pc::Prng prng(17);
   const auto x = random_tensor({1, 4}, 18);
   const auto sx = proto::share_tensor(x, prng, ctx.ring());
-  const auto out = proto::secure_x2act(ctx, sx, 0.0, 1.0, 0.0);
+  const auto out = run_staged(ctx, proto::StagedX2act(sx, 0.0, 1.0, 0.0));
   EXPECT_LT(max_abs_diff(proto::reconstruct_tensor(out, ctx.ring()), x), 2e-3f);
 }
 
@@ -123,9 +126,7 @@ TEST(SecureRelu, MatchesPlaintextBothOtModes) {
     const auto x = random_tensor({1, 2, 4, 4}, 20, 2.0f);
     const auto want = relu.forward(x, false);
     const auto sx = proto::share_tensor(x, prng, ctx.ring());
-    proto::SecureConfig cfg;
-    cfg.ot_mode = mode;
-    const auto out = proto::secure_relu(ctx, sx, cfg);
+    const auto out = run_staged(ctx, proto::StagedRelu(sx, mode));
     EXPECT_LT(max_abs_diff(proto::reconstruct_tensor(out, ctx.ring()), want), 2e-3f);
   }
 }
@@ -138,7 +139,7 @@ TEST(SecureMaxpool, MatchesPlaintextOnPositiveInputs) {
   for (std::size_t i = 0; i < x.size(); ++i) x[i] = std::abs(x[i]);  // post-ReLU regime
   const auto want = pool.forward(x, false);
   const auto sx = proto::share_tensor(x, prng, ctx.ring());
-  const auto out = proto::secure_maxpool(ctx, sx, 2, 2, proto::SecureConfig{});
+  const auto out = run_staged(ctx, proto::StagedMaxPool(sx, 2, 2, 0, pc::OtMode::correlated));
   EXPECT_EQ(out.shape, want.shape());
   EXPECT_LT(max_abs_diff(proto::reconstruct_tensor(out, ctx.ring()), want), 5e-3f);
 }
@@ -151,7 +152,7 @@ TEST(SecureMaxpool, ThreeByThreeWindowTree) {
   for (std::size_t i = 0; i < x.size(); ++i) x[i] = std::abs(x[i]);
   const auto want = pool.forward(x, false);
   const auto sx = proto::share_tensor(x, prng, ctx.ring());
-  const auto out = proto::secure_maxpool(ctx, sx, 3, 2, proto::SecureConfig{}, 1);
+  const auto out = run_staged(ctx, proto::StagedMaxPool(sx, 3, 2, 1, pc::OtMode::correlated));
   EXPECT_EQ(out.shape, want.shape());
   EXPECT_LT(max_abs_diff(proto::reconstruct_tensor(out, ctx.ring()), want), 5e-3f);
 }
@@ -168,7 +169,7 @@ TEST(SecureMaxpool, NonzeroPadMatchesPlaintextBothContexts) {
     for (std::size_t i = 0; i < x.size(); ++i) x[i] = std::abs(x[i]);
     const auto want = pool.forward(x, false);
     const auto sx = proto::share_tensor(x, prng, ctx.ring());
-    const auto out = proto::secure_maxpool(ctx, sx, 2, 2, proto::SecureConfig{}, 1);
+    const auto out = run_staged(ctx, proto::StagedMaxPool(sx, 2, 2, 1, pc::OtMode::correlated));
     EXPECT_EQ(out.shape, want.shape());
     EXPECT_LT(max_abs_diff(proto::reconstruct_tensor(out, ctx.ring()), want), 5e-3f);
   }
@@ -182,7 +183,7 @@ TEST(SecureMaxpool, PadWithStrideOneOverlappingWindows) {
   for (std::size_t i = 0; i < x.size(); ++i) x[i] = std::abs(x[i]);
   const auto want = pool.forward(x, false);
   const auto sx = proto::share_tensor(x, prng, ctx.ring());
-  const auto out = proto::secure_maxpool(ctx, sx, 3, 1, proto::SecureConfig{}, 1);
+  const auto out = run_staged(ctx, proto::StagedMaxPool(sx, 3, 1, 1, pc::OtMode::correlated));
   EXPECT_EQ(out.shape, want.shape());
   EXPECT_LT(max_abs_diff(proto::reconstruct_tensor(out, ctx.ring()), want), 5e-3f);
 }
@@ -288,11 +289,11 @@ TEST(SecureConv, ReluCommunicationDwarfsConvCommunication) {
   nn::Conv2d conv(8, 8, 3, 1, 1, wprng);
   const auto sw = pc::share_reals(conv.weight().to_doubles(), prng, ctx.ring());
   ctx.reset_stats();
-  (void)proto::secure_conv2d(ctx, sx, sw, nullptr, 8, 3, 1, 1);
+  (void)run_staged(ctx, proto::StagedConv2d(sx, sw, nullptr, 8, 3, 1, 1, false));
   const auto conv_bytes = ctx.stats().total_bytes();
 
   ctx.reset_stats();
-  (void)proto::secure_relu(ctx, sx, proto::SecureConfig{});
+  (void)run_staged(ctx, proto::StagedRelu(sx, pc::OtMode::correlated));
   const auto relu_bytes = ctx.stats().total_bytes();
   EXPECT_GT(relu_bytes, 3 * conv_bytes);
 }
@@ -315,9 +316,8 @@ TEST_P(SecureReluProperty, MatchesPlaintext) {
   nn::Relu relu;
   const auto want = relu.forward(x, false);
   const auto sx = proto::share_tensor(x, prng, ctx.ring());
-  proto::SecureConfig cfg;
-  cfg.ot_mode = param.mode;
-  const auto out = proto::reconstruct_tensor(proto::secure_relu(ctx, sx, cfg), ctx.ring());
+  const auto out =
+      proto::reconstruct_tensor(run_staged(ctx, proto::StagedRelu(sx, param.mode)), ctx.ring());
   EXPECT_LT(max_abs_diff(out, want), 2e-3f);
 }
 
