@@ -29,7 +29,6 @@
 #include "obs/expose.hpp"
 #include "obs/tracer.hpp"
 #include "offline/ot_triple_source.hpp"
-#include "obs/witness.hpp"
 #include "perf/ir_cost.hpp"
 #include "proto/secure_network.hpp"
 #include "proto/workload.hpp"
@@ -95,23 +94,6 @@ struct CompiledExample {
   }
 };
 
-/// In-process reference for query q: a fresh lockstep context with the
-/// canonical per-query seed — the transcript every serving mode (fused,
-/// store, networked dealer, and the two-process session) reproduces bit
-/// for bit.  Returns the result and the reference TrafficStats.
-inline ir::ExecResult reference_query(proto::SecureNetwork& snet, const ir::SecureProgram& program,
-                                      std::size_t q, const nn::Tensor& input,
-                                      const proto::SecureConfig& cfg,
-                                      crypto::TrafficStats* stats_out) {
-  crypto::TwoPartyContext qctx(crypto::RingConfig{},
-                               proto::SecureNetwork::query_context_seed(q));
-  ir::ExecOptions opts;
-  opts.cfg = cfg;
-  ir::ExecResult res = ir::execute(program, snet.params(), qctx, input, opts);
-  if (stats_out != nullptr) *stats_out = qctx.stats();
-  return res;
-}
-
 /// The whole party process: compile, connect, serve/run --queries queries.
 /// Returns the process exit code (nonzero when --verify finds any drift).
 inline int run_party(int party, int argc, char** argv) {
@@ -161,12 +143,12 @@ inline int run_party(int party, int argc, char** argv) {
   flags.define_int("timeout-ms", 30000, "socket connect/io timeout");
   flags.define_string("trace", "",
                       "write this party's protocol timeline (Chrome trace event JSON, loads "
-                      "in Perfetto) to this path; every chunk is also cross-checked against "
-                      "TrafficStats and the analytic cost model (exit 1 on mismatch)");
+                      "in Perfetto) to this path; every chunk's metered rounds and bytes are "
+                      "also checked against the analytic cost model (exit 1 on mismatch)");
   flags.define_int("metrics-port", 0,
                    "serve live /metrics (Prometheus text) and /healthz (JSON) on this port "
-                   "while the party runs (0 = off); with --verify the scraped totals become "
-                   "a fourth witness that must equal trace/TrafficStats/analytic");
+                   "while the party runs (0 = off); with --verify the scraped round/byte "
+                   "totals must equal the channel meter and the analytic cost model");
   flags.define_string("metrics-bind", "127.0.0.1",
                       "metrics listen address (loopback by default: the endpoints expose "
                       "unauthenticated operational metadata)");
@@ -227,9 +209,9 @@ inline int run_party(int party, int argc, char** argv) {
   net::PartySession session(party, *chan, crypto::RingConfig{});
   // Observability: one tracer for the whole session, live whenever --trace
   // or --metrics-port asks for it; each chunk merges its per-chunk records
-  // in, and under --trace the chunk's counter totals are checked against
-  // BOTH the channel meter and the analytic cost model (the three-witness
-  // invariant) before anything is written out.
+  // (its metered traffic included) in, and under --trace the chunk's
+  // metered rounds and bytes are checked against the analytic cost model
+  // before anything is written out.
   const std::string trace_path = flags.get_string("trace");
   const bool tracing = !trace_path.empty();
   const long long metrics_port_flag = flags.get_int("metrics-port");
@@ -328,10 +310,10 @@ inline int run_party(int party, int argc, char** argv) {
     std::fflush(stdout);
   }
 
-  // Four-witness accumulators: whole-run totals of the channel meter and
-  // the analytic model (ot-ext offline windows included — the session
-  // tracer absorbs those too), compared after the last chunk against the
-  // tracer counters AND a real scrape of our own /metrics endpoint.
+  // Whole-run totals of the channel meter and the analytic model (ot-ext
+  // offline windows included — the session tracer absorbs those too),
+  // compared after the last chunk against a real scrape of our own
+  // /metrics endpoint.
   std::uint64_t meter_rounds = 0, meter_bytes = 0;
   std::uint64_t analytic_rounds = 0, analytic_bytes = 0;
 
@@ -357,16 +339,13 @@ inline int run_party(int party, int argc, char** argv) {
     for (std::size_t j = 0; j < lanes; ++j) inputs.push_back(query_input(ex.md, seed, q0 + j));
     crypto::TrafficStats stats;
     crypto::TrafficStats offline_stats;
-    obs::CounterSnapshot chunk_trace;
     if (ot_ext) ropts.offline_stats_out = &offline_stats;
-    const ir::BatchExecResult res =
-        session.run_batch(program, ex.snet->params(), q0, party == 0 ? &inputs : nullptr,
-                          lanes, ropts, &stats, tracing ? &chunk_trace : nullptr);
+    const ir::BatchExecResult res = session.run_batch(
+        program, ex.snet->params(), q0, party == 0 ? &inputs : nullptr, lanes, ropts, &stats);
     if (ot_ext) {
-      // Offline witness: the OT-extension generation runs in its own
-      // metered window, and its measured traffic must EXACTLY equal the
-      // analytic offline cost model — the offline analog of the online
-      // three-witness check.
+      // The OT-extension generation runs in its own metered window, and
+      // its measured traffic must EXACTLY equal the analytic offline cost
+      // model.
       const offline::OtExtCost ocost = offline::ot_ext_generation_cost(plan, lanes);
       std::printf("chunk %zu offline (ot-ext): %llu bytes, %llu rounds, %llu base OTs, "
                   "%llu ext COTs\n",
@@ -377,7 +356,7 @@ inline int run_party(int party, int argc, char** argv) {
       if (offline_stats.total_bytes() != ocost.total_bytes() ||
           offline_stats.rounds != ocost.rounds || offline_stats.messages != ocost.messages) {
         std::fprintf(stderr,
-                     "chunk %zu: offline witness drift (measured %llu B / %llu rds vs "
+                     "chunk %zu: offline traffic drift (measured %llu B / %llu rds vs "
                      "analytic %llu B / %llu rds)\n",
                      chunk, static_cast<unsigned long long>(offline_stats.total_bytes()),
                      static_cast<unsigned long long>(offline_stats.rounds),
@@ -424,14 +403,18 @@ inline int run_party(int party, int argc, char** argv) {
         analytic_bytes += ocost.total_bytes();
       }
       if (tracing) {
-        // Three-witness self-check: the tracer's independently mirrored
-        // counters, the channel meter, and the static cost model must
-        // agree on this chunk's rounds and wire bytes exactly.
-        const obs::WitnessReport report = obs::three_witness(
-            chunk_trace, stats, static_cast<std::uint64_t>(cost.total.rounds), cost.wire_bytes);
-        std::printf("chunk %zu: %s\n", chunk, report.describe().c_str());
-        last_witness.store(report.ok() ? 1 : 0, std::memory_order_relaxed);
-        if (!report.ok()) drift = 1;
+        // The chunk's metered rounds and wire bytes must equal the static
+        // cost model exactly.
+        const auto want_rounds = static_cast<std::uint64_t>(cost.total.rounds);
+        const bool ok = stats.rounds == want_rounds && stats.total_bytes() == cost.wire_bytes;
+        std::printf("chunk %zu: meter %llu rds / %llu B, analytic %llu / %llu -> %s\n", chunk,
+                    static_cast<unsigned long long>(stats.rounds),
+                    static_cast<unsigned long long>(stats.total_bytes()),
+                    static_cast<unsigned long long>(want_rounds),
+                    static_cast<unsigned long long>(cost.wire_bytes),
+                    ok ? "equal" : "MISMATCH");
+        last_witness.store(ok ? 1 : 0, std::memory_order_relaxed);
+        if (!ok) drift = 1;
       }
     }
     chunks_done.fetch_add(1, std::memory_order_relaxed);
@@ -505,13 +488,9 @@ inline int run_party(int party, int argc, char** argv) {
   }
   if (metrics) {
     if (flags.get_switch("verify")) {
-      // Fourth witness: scrape our own /metrics endpoint over a real HTTP
-      // GET and require the exported round/byte totals to equal the tracer
-      // counters, the TrafficStats meter and the analytic model — whole-run
-      // totals, ot-ext offline windows included.
-      const obs::CounterSnapshot totals = tracer.snapshot();
-      const std::uint64_t trace_rounds = totals[obs::Counter::rounds];
-      const std::uint64_t trace_bytes = totals.total_bytes();
+      // Scrape our own /metrics endpoint over a real HTTP GET and require
+      // the exported round/byte totals to equal the channel meter and the
+      // analytic model — whole-run totals, ot-ext offline windows included.
       std::uint64_t scraped_rounds = 0, scraped_bytes = 0;
       bool scraped = false;
       const std::string bind = flags.get_string("metrics-bind");
@@ -532,23 +511,20 @@ inline int run_party(int party, int argc, char** argv) {
       } catch (const std::exception& e) {
         std::fprintf(stderr, "metrics self-scrape failed: %s\n", e.what());
       }
-      const bool four_ok = scraped && scraped_rounds == trace_rounds &&
-                           scraped_bytes == trace_bytes && trace_rounds == meter_rounds &&
-                           trace_bytes == meter_bytes && meter_rounds == analytic_rounds &&
-                           meter_bytes == analytic_bytes;
-      std::printf("four-witness: scrape %llu rds / %llu B, trace %llu / %llu, stats %llu / "
-                  "%llu, analytic %llu / %llu -> %s\n",
+      const bool ok = scraped && scraped_rounds == meter_rounds &&
+                      scraped_bytes == meter_bytes && meter_rounds == analytic_rounds &&
+                      meter_bytes == analytic_bytes;
+      std::printf("metrics: scrape %llu rds / %llu B, meter %llu / %llu, analytic %llu / "
+                  "%llu -> %s\n",
                   static_cast<unsigned long long>(scraped_rounds),
                   static_cast<unsigned long long>(scraped_bytes),
-                  static_cast<unsigned long long>(trace_rounds),
-                  static_cast<unsigned long long>(trace_bytes),
                   static_cast<unsigned long long>(meter_rounds),
                   static_cast<unsigned long long>(meter_bytes),
                   static_cast<unsigned long long>(analytic_rounds),
                   static_cast<unsigned long long>(analytic_bytes),
-                  four_ok ? "all equal" : "MISMATCH");
-      last_witness.store(four_ok ? 1 : 0, std::memory_order_relaxed);
-      if (!four_ok) drift = 1;
+                  ok ? "all equal" : "MISMATCH");
+      last_witness.store(ok ? 1 : 0, std::memory_order_relaxed);
+      if (!ok) drift = 1;
     }
     std::fflush(stdout);
     const long long linger = flags.get_int("metrics-linger-ms");

@@ -40,6 +40,70 @@ void Channel::send_u64(std::uint64_t v) { send_ring(RingVec{v}); }
 std::uint64_t Channel::recv_u64() { return recv_ring(1)[0]; }
 
 // ---------------------------------------------------------------------------
+// The meter (shared by every backend)
+// ---------------------------------------------------------------------------
+
+void Channel::account(int sender, std::uint64_t wire_bytes) noexcept {
+  std::lock_guard<std::mutex> lk(meter_->m);
+  TrafficStats& s = meter_->stats;
+  (sender == 0 ? s.bytes_p0_to_p1 : s.bytes_p1_to_p0) += wire_bytes;
+  ++s.messages;
+  if (meter_->in_round) {
+    // All messages of a bracketed symmetric exchange are one round.
+    if (!meter_->round_counted) {
+      ++s.rounds;
+      meter_->round_counted = true;
+    }
+  } else if (meter_->last_sender != sender) {
+    ++s.rounds;  // the sending direction flipped
+  }
+  meter_->last_sender = sender;
+}
+
+void Channel::begin_round() {
+  std::lock_guard<std::mutex> lk(meter_->m);
+  meter_->in_round = true;
+  meter_->round_counted = false;
+}
+
+void Channel::end_round() {
+  std::lock_guard<std::mutex> lk(meter_->m);
+  meter_->in_round = false;
+  meter_->round_counted = false;
+  // The next message starts a fresh round whatever its direction.
+  meter_->last_sender = -1;
+}
+
+TrafficStats Channel::stats_snapshot() const {
+  std::lock_guard<std::mutex> lk(meter_->m);
+  return meter_->stats;
+}
+
+void Channel::reset_stats() noexcept {
+  std::lock_guard<std::mutex> lk(meter_->m);
+  meter_->stats.reset();
+  meter_->last_sender = -1;
+  meter_->round_counted = false;
+}
+
+void Channel::set_tracer(obs::Tracer* tracer) noexcept {
+  std::lock_guard<std::mutex> lk(meter_->m);
+  meter_->tracer = tracer;
+}
+
+obs::Tracer* Channel::tracer() const noexcept {
+  std::lock_guard<std::mutex> lk(meter_->m);
+  return meter_->tracer != nullptr && meter_->tracer->enabled() ? meter_->tracer : nullptr;
+}
+
+void trace_traffic(obs::Tracer& tracer, const TrafficStats& stats) noexcept {
+  tracer.add(obs::Counter::rounds, stats.rounds);
+  tracer.add(obs::Counter::bytes_p0_to_p1, stats.bytes_p0_to_p1);
+  tracer.add(obs::Counter::bytes_p1_to_p0, stats.bytes_p1_to_p0);
+  tracer.add(obs::Counter::messages, stats.messages);
+}
+
+// ---------------------------------------------------------------------------
 // In-process pair backend
 // ---------------------------------------------------------------------------
 
@@ -53,7 +117,7 @@ struct Message {
 };
 
 /// The historical simulated pair: two endpoints over a shared pair of
-/// bounded byte queues plus one shared meter.
+/// bounded byte queues plus one shared meter (the base class's).
 class LocalChannel final : public Channel {
  public:
   struct Shared {
@@ -69,32 +133,10 @@ class LocalChannel final : public Channel {
     std::chrono::milliseconds timeout{kDefaultTimeout};
     std::chrono::microseconds round_delay{0};
     bool closed = false;
-    int last_sender = -1;   // for round counting outside brackets
-    bool in_round = false;  // begin_round/end_round bracket open
-    bool round_counted = false;
-    /// Pair-wide tracer (like the meter): attaching through either
-    /// endpoint covers both, and the round rule fires exactly once.
-    obs::Tracer* tracer = nullptr;
   };
 
-  LocalChannel(int party, std::shared_ptr<Shared> shared, std::shared_ptr<TrafficStats> stats)
-      : party_(party), shared_(std::move(shared)) {
-    stats_ = std::move(stats);
-  }
-
-  void begin_round() override {
-    std::lock_guard<std::mutex> lk(shared_->m);
-    shared_->in_round = true;
-    shared_->round_counted = false;
-  }
-
-  void end_round() override {
-    std::lock_guard<std::mutex> lk(shared_->m);
-    shared_->in_round = false;
-    shared_->round_counted = false;
-    // The next message starts a fresh round whatever its direction.
-    shared_->last_sender = -1;
-  }
+  LocalChannel(int party, std::shared_ptr<Shared> shared, std::shared_ptr<Meter> meter)
+      : Channel(std::move(meter)), party_(party), shared_(std::move(shared)) {}
 
   void close() override {
     {
@@ -107,32 +149,13 @@ class LocalChannel final : public Channel {
     }
   }
 
-  [[nodiscard]] TrafficStats stats_snapshot() const override {
-    std::lock_guard<std::mutex> lk(shared_->m);
-    return *stats_;
-  }
-
-  void reset_stats() noexcept override {
-    std::lock_guard<std::mutex> lk(shared_->m);
-    stats_->reset();
-    shared_->last_sender = -1;
-    shared_->round_counted = false;
-  }
-
   [[nodiscard]] ChannelMode mode() const noexcept override { return shared_->mode; }
-
-  void set_tracer(obs::Tracer* tracer) noexcept override {
-    std::lock_guard<std::mutex> lk(shared_->m);
-    tracer_ = tracer;
-    shared_->tracer = tracer;
-  }
 
  protected:
   void do_send(std::vector<std::uint8_t>&& data, std::uint64_t wire_bytes) override {
     const int peer = 1 - party_;
+    obs::Tracer* const tr = tracer();
     std::unique_lock<std::mutex> lk(shared_->m);
-    obs::Tracer* const tr =
-        (shared_->tracer && shared_->tracer->enabled()) ? shared_->tracer : nullptr;
     if (shared_->mode == ChannelMode::threaded) {
       const bool back_pressured = shared_->inbox[peer].size() >= shared_->capacity;
       const std::uint64_t wait_begin = (tr && back_pressured) ? obs::Tracer::now_us() : 0;
@@ -154,39 +177,16 @@ class LocalChannel final : public Channel {
     msg.data = std::move(data);
     msg.due = shared_->round_delay.count() > 0 ? Clock::now() + shared_->round_delay
                                                : Clock::time_point{};
+    // Metered under the queue lock, before the peer can pop the message.
+    account(party_, wire_bytes);
     shared_->inbox[peer].push_back(std::move(msg));
-    // Every meter update is mirrored into the tracer at the same site, so
-    // the trace counters are an independent witness of TrafficStats.
-    if (party_ == 0) {
-      stats_->bytes_p0_to_p1 += wire_bytes;
-      if (tr) tr->add(obs::Counter::bytes_p0_to_p1, wire_bytes);
-    } else {
-      stats_->bytes_p1_to_p0 += wire_bytes;
-      if (tr) tr->add(obs::Counter::bytes_p1_to_p0, wire_bytes);
-    }
-    ++stats_->messages;
-    if (tr) tr->add(obs::Counter::messages, 1);
-    if (shared_->in_round) {
-      // All messages of a bracketed symmetric exchange are one round.
-      if (!shared_->round_counted) {
-        ++stats_->rounds;
-        if (tr) tr->add(obs::Counter::rounds, 1);
-        shared_->round_counted = true;
-      }
-      shared_->last_sender = party_;
-    } else if (shared_->last_sender != party_) {
-      ++stats_->rounds;
-      if (tr) tr->add(obs::Counter::rounds, 1);
-      shared_->last_sender = party_;
-    }
     lk.unlock();
     shared_->not_empty[peer].notify_one();
   }
 
   [[nodiscard]] std::vector<std::uint8_t> do_recv() override {
+    obs::Tracer* const tr = tracer();
     std::unique_lock<std::mutex> lk(shared_->m);
-    obs::Tracer* const tr =
-        (shared_->tracer && shared_->tracer->enabled()) ? shared_->tracer : nullptr;
     auto& inbox = shared_->inbox[party_];
     if (shared_->mode == ChannelMode::lockstep) {
       if (shared_->closed && inbox.empty()) {
@@ -252,9 +252,9 @@ std::pair<std::unique_ptr<Channel>, std::unique_ptr<Channel>> Channel::make_pair
   shared->capacity = options.capacity > 0 ? options.capacity : 1;
   shared->timeout = options.timeout;
   shared->round_delay = options.round_delay;
-  auto stats = std::make_shared<TrafficStats>();
-  auto c0 = std::unique_ptr<Channel>(new LocalChannel(0, shared, stats));
-  auto c1 = std::unique_ptr<Channel>(new LocalChannel(1, shared, stats));
+  auto meter = std::make_shared<Meter>();
+  auto c0 = std::unique_ptr<Channel>(new LocalChannel(0, shared, meter));
+  auto c1 = std::unique_ptr<Channel>(new LocalChannel(1, shared, meter));
   return {std::move(c0), std::move(c1)};
 }
 

@@ -2,17 +2,20 @@
 // Duplex channel endpoints between the two computing parties.
 //
 // `Channel` is the endpoint API every protocol talks to: framed byte
-// messages, ring-vector conveniences, round bracketing, and a TrafficStats
-// meter that records every byte, message, and communication round.  The
-// meter is what lets integration tests cross-check the measured traffic of
-// the real protocol stack against the analytical communication model of
-// src/perf (DESIGN.md E6) — and, since PR 5, what makes bytes/rounds
-// measured over a real TCP connection directly comparable to the
-// simulation.
+// messages, ring-vector conveniences, round bracketing, and the ONE meter
+// (TrafficStats) that counts every byte, message and communication round.
+// The meter, its round rule and its bracket state live in this base class;
+// a backend only delivers messages and reports each one through
+// Channel::account().  The meter is what lets integration tests cross-check
+// the measured traffic of the real protocol stack against the analytical
+// communication model of src/perf (DESIGN.md E6), and what makes
+// bytes/rounds measured over a real TCP connection directly comparable to
+// the simulation.  Tracers never count traffic themselves: each metered
+// window adds its meter totals to its tracer once (trace_traffic below).
 //
 // Two backends:
 //  - the in-process pair (Channel::make_pair): two endpoints over a shared
-//    pair of bounded byte queues.  Modes:
+//    pair of bounded byte queues and ONE pair-shared meter.  Modes:
 //     * lockstep: the historical single-threaded mode.  Both parties run on
 //       one thread in protocol order; `recv` on an empty inbox is a protocol
 //       ordering bug and throws immediately.  Fully deterministic (used by
@@ -23,15 +26,16 @@
 //       may be driven from different threads; a watchdog timeout turns a
 //       deadlocked protocol into a loud ChannelTimeout instead of a hang.
 //  - net::TransportChannel (src/net): the same endpoint API over a real
-//    socket transport, one endpoint per OS process.  Each endpoint's meter
-//    accounts both directions (own sends at send time, the peer's at recv
-//    time), so a remote endpoint's TrafficStats equal the simulated pair's
-//    for the same protocol run.
+//    socket transport, one endpoint (and one meter) per OS process.  Each
+//    endpoint accounts both directions (own sends at send time, the peer's
+//    at recv time), so a remote endpoint's TrafficStats equal the simulated
+//    pair's for the same protocol run.
 
 #include <chrono>
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <vector>
 
@@ -83,7 +87,8 @@ class ChannelClosed : public std::runtime_error {
 
 /// One endpoint of a duplex channel.  The convenience send/recv helpers are
 /// implemented over the backend primitives do_send/do_recv; backends also
-/// own round bracketing, close semantics, and the stats meter.
+/// own close semantics.  The meter and round bracketing belong to this
+/// base class.
 class Channel {
  public:
   /// Default bounded-queue depth and watchdog timeout for an in-process
@@ -122,8 +127,8 @@ class Channel {
   /// coordinating thread (TwoPartyContext::exchange), never by a party
   /// closure.  After end_round the next message starts a fresh round
   /// regardless of direction.
-  virtual void begin_round() = 0;
-  virtual void end_round() = 0;
+  void begin_round();
+  void end_round();
 
   /// Marks the endpoint closed: blocked senders/receivers wake and throw
   /// ChannelClosed, as do later blocking operations that would wait.
@@ -133,22 +138,22 @@ class Channel {
   /// in-process pair).  The reference is stable; read it only while no
   /// transfer is in flight (use stats_snapshot() for a consistent copy
   /// during concurrent traffic).
-  [[nodiscard]] const TrafficStats& stats() const noexcept { return *stats_; }
+  [[nodiscard]] const TrafficStats& stats() const noexcept { return meter_->stats; }
   /// Locked copy of the stats, safe to take concurrently with transfers.
-  [[nodiscard]] virtual TrafficStats stats_snapshot() const = 0;
-  virtual void reset_stats() noexcept = 0;
+  [[nodiscard]] TrafficStats stats_snapshot() const;
+  /// Zeroes the stats and forgets the last sender (an open bracket stays
+  /// open).
+  void reset_stats() noexcept;
 
   [[nodiscard]] virtual ChannelMode mode() const noexcept = 0;
 
-  /// Attaches a tracer (nullptr detaches).  The endpoint mirrors every
-  /// meter update into the tracer's counters — rounds, per-direction wire
-  /// bytes, messages — and accumulates blocked send/recv time, which is
-  /// what makes the trace an independent witness of TrafficStats.  For an
-  /// in-process pair the tracer is shared pair-wide (attaching through
-  /// either endpoint covers both), matching the shared meter.  The caller
-  /// keeps ownership; the tracer must outlive the attachment.
-  virtual void set_tracer(obs::Tracer* tracer) noexcept { tracer_ = tracer; }
-  [[nodiscard]] obs::Tracer* tracer() const noexcept { return tracer_; }
+  /// Attaches a tracer (nullptr detaches).  The endpoint adds the time it
+  /// spends blocked in send/recv (Counter::send_wait_us / recv_wait_us);
+  /// traffic reaches a tracer only through trace_traffic().  Like the
+  /// meter, the attachment is shared pair-wide in process (attaching
+  /// through either endpoint covers both).  The caller keeps ownership;
+  /// the tracer must outlive the attachment.
+  void set_tracer(obs::Tracer* tracer) noexcept;
 
   /// Creates a connected in-process pair of endpoints: first element is
   /// party 0's.
@@ -159,7 +164,32 @@ class Channel {
       const ChannelOptions& options);
 
  protected:
-  Channel() = default;
+  /// The meter: traffic totals, the round rule's state and the tracer
+  /// attachment, under one lock.  Pair-shared in process, one per endpoint
+  /// over a transport.
+  struct Meter {
+    mutable std::mutex m;
+    TrafficStats stats;
+    int last_sender = -1;   // sender of the last message outside a bracket
+    bool in_round = false;  // begin_round/end_round bracket open
+    bool round_counted = false;
+    obs::Tracer* tracer = nullptr;
+  };
+
+  /// A fresh meter of its own (a transport endpoint).
+  Channel() : meter_(std::make_shared<Meter>()) {}
+  /// A meter shared with the peer endpoint (the in-process pair).
+  explicit Channel(std::shared_ptr<Meter> meter) : meter_(std::move(meter)) {}
+
+  /// Credits one message of `wire_bytes` sent by party `sender` and applies
+  /// the round rule.  Backends call it once per message: the in-process
+  /// pair before the message can reach the peer (so concurrent endpoints
+  /// count rounds in protocol order), a transport endpoint for its own
+  /// sends and for each received peer message.
+  void account(int sender, std::uint64_t wire_bytes) noexcept;
+  /// The attached tracer if it is enabled, else nullptr (for the backends'
+  /// wait-time adds).
+  [[nodiscard]] obs::Tracer* tracer() const noexcept;
 
   /// Backend primitive: delivers one framed message to the peer, crediting
   /// `wire_bytes` (the modeled on-wire size, which may differ from
@@ -168,13 +198,16 @@ class Channel {
   /// Backend primitive: receives the next framed message.
   [[nodiscard]] virtual std::vector<std::uint8_t> do_recv() = 0;
 
-  /// The endpoint's meter; backends allocate it (pair-shared in process,
-  /// per-endpoint over a transport).
-  std::shared_ptr<TrafficStats> stats_;
-  /// Attached tracer, or nullptr.  Backends test it at their accounting
-  /// sites; when attached and enabled they mirror the meter update.
-  obs::Tracer* tracer_ = nullptr;
+ private:
+  std::shared_ptr<Meter> meter_;
 };
+
+/// Adds one metered window's traffic (rounds, per-direction wire bytes,
+/// messages) to `tracer`'s counters.  The only place traffic reaches a
+/// tracer: the serving layers call it once per window, before they
+/// snapshot or merge the window's tracer, so trace counters, exported
+/// traces and /metrics all carry the meter's numbers.
+void trace_traffic(obs::Tracer& tracer, const TrafficStats& stats) noexcept;
 
 /// Construction knobs for an in-process channel pair.
 struct ChannelOptions {

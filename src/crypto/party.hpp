@@ -328,10 +328,11 @@ class TwoPartyContext {
 
   /// Attaches a tracer (nullptr detaches): the context records exchange
   /// round spans and the staged buffers their flush counters, and the
-  /// attachment is forwarded to the metered channel so wire bytes, rounds
-  /// and wait time land in the same tracer.  Non-owning; the tracer must
-  /// outlive the attachment and is shared with every protocol layer on
-  /// this context — obs::Tracer is thread-safe.
+  /// attachment is forwarded to the metered channel so its wait time lands
+  /// in the same tracer.  Wire bytes and rounds stay in the channel meter
+  /// (stats()); a serving window adds them once with trace_traffic.
+  /// Non-owning; the tracer must outlive the attachment and is shared with
+  /// every protocol layer on this context — obs::Tracer is thread-safe.
   void set_tracer(obs::Tracer* tracer) noexcept {
     tracer_ = tracer;
     local_chan().set_tracer(tracer);

@@ -127,8 +127,8 @@ ir::BatchExecResult PartySession::run_batch(const ir::SecureProgram& program,
                                             crypto::TrafficStats* stats_out,
                                             obs::CounterSnapshot* trace_out) {
   if (lanes == 0) return ir::BatchExecResult{};
-  // Per-chunk tracer: counters recorded here become the chunk's trace
-  // witness; merged into the session tracer at the end.
+  // Per-chunk tracer: the chunk's counters, merged into the session tracer
+  // at the end.
   const bool tracing = tracer_ != nullptr && tracer_->enabled();
   obs::Tracer chunk_tracer(tracing);
   const std::uint64_t chunk_begin = tracing ? obs::Tracer::now_us() : 0;
@@ -201,9 +201,8 @@ ir::BatchExecResult PartySession::run_batch(const ir::SecureProgram& program,
   // here is NOT the canonical shared-seed stream, and logits match the
   // dealer path only up to truncation-LSB noise.  The window is metered
   // separately (stats reset on both sides of it) so the ONLINE window's
-  // traffic and trace witnesses are exactly what the other serving modes
-  // measure; the offline traffic has its own analytic witness,
-  // ot_ext_generation_cost.
+  // traffic is exactly what the other serving modes measure; the offline
+  // traffic has its own analytic model, ot_ext_generation_cost.
   std::vector<offline::QueryBundle> ot_bundles;
   if (opts.source == TripleSourceKind::ot_ext) {
     if (opts.plan == nullptr) {
@@ -236,10 +235,12 @@ ir::BatchExecResult PartySession::run_batch(const ir::SecureProgram& program,
       offline::generate_bundles_ot_ext(*opts.plan, gen_ctx, seeds, ot_bundles.data());
       for (std::size_t j = 0; j < lanes; ++j) bundles[j] = &ot_bundles[j];
     }
-    if (opts.offline_stats_out != nullptr) *opts.offline_stats_out = chan_.stats_snapshot();
+    const crypto::TrafficStats offline_stats = chan_.stats_snapshot();
+    if (opts.offline_stats_out != nullptr) *opts.offline_stats_out = offline_stats;
     if (tracing) {
       offline_tracer.complete_span("offline", "ot_ext_generate", offline_begin,
                                    static_cast<std::int64_t>(lanes));
+      crypto::trace_traffic(offline_tracer, offline_stats);
       if (opts.offline_trace_out != nullptr) *opts.offline_trace_out = offline_tracer.snapshot();
       tracer_->merge_from(offline_tracer);
     }
@@ -289,11 +290,13 @@ ir::BatchExecResult PartySession::run_batch(const ir::SecureProgram& program,
     bopts.input_shares[j] = &input_shares[j];
   }
   ir::BatchExecResult res = ir::execute_batch(program, params, ctx, {}, bopts);
-  if (stats_out != nullptr) *stats_out = chan_.stats_snapshot();
+  const crypto::TrafficStats online_stats = chan_.stats_snapshot();
+  if (stats_out != nullptr) *stats_out = online_stats;
   if (tracing) {
     chunk_tracer.complete_span("net", "run_batch", chunk_begin,
                                static_cast<std::int64_t>(lanes));
     chunk_tracer.sample(obs::Sample::chunk_us, obs::Tracer::now_us() - chunk_begin);
+    crypto::trace_traffic(chunk_tracer, online_stats);
     if (trace_out != nullptr) *trace_out = chunk_tracer.snapshot();
     tracer_->merge_from(chunk_tracer);
   }

@@ -76,9 +76,10 @@ struct RemoteSessionOptions {
   bool allow_ideal_ot = false;
   /// TripleSourceKind::ot_ext out-params (optional, borrowed).  The offline
   /// generation runs in its OWN metered window — stats reset before and
-  /// after — so the online window's three-witness is untouched; these
-  /// receive the offline window's traffic and trace counters, which tests
-  /// pin against offline::ot_ext_generation_cost (the offline witness).
+  /// after — so the online window's meter is untouched; these receive the
+  /// offline window's traffic and trace counters (the trace carries the
+  /// same meter totals), which tests pin against
+  /// offline::ot_ext_generation_cost.
   crypto::TrafficStats* offline_stats_out = nullptr;
   obs::CounterSnapshot* offline_trace_out = nullptr;
 };
@@ -115,8 +116,8 @@ class PartySession {
   /// are bit-identical to the same queries run one at a time — local or
   /// remote.
   /// `trace_out`, when set and a tracer is attached, receives the chunk's
-  /// trace-counter totals — recorded over exactly the metered window, so
-  /// its rounds/bytes must equal `stats_out`'s.
+  /// trace-counter totals; their rounds/bytes/messages are the metered
+  /// window's TrafficStats, so they equal `stats_out`'s by construction.
   [[nodiscard]] ir::BatchExecResult run_batch(const ir::SecureProgram& program,
                                               const ir::CompiledParams& params, std::size_t q,
                                               const std::vector<nn::Tensor>* inputs,
@@ -129,10 +130,10 @@ class PartySession {
 
   /// Attaches a tracer (non-owning; nullptr detaches).  Each run_batch
   /// chunk records under its own per-chunk tracer — attached to the
-  /// channel only inside the metered window, so trace rounds/bytes mirror
-  /// the chunk's TrafficStats exactly (setup frames stay outside both) —
-  /// then merges spans, samples and counters into the attached tracer.
-  /// Dealer claims are timed as obs::Sample::dealer_claim_us.
+  /// channel only inside the metered window, which adds its TrafficStats
+  /// to it once (setup frames stay outside both) — then merges spans,
+  /// samples and counters into the attached tracer.  Dealer claims are
+  /// timed as obs::Sample::dealer_claim_us.
   void set_tracer(obs::Tracer* tracer) noexcept { tracer_ = tracer; }
   [[nodiscard]] obs::Tracer* tracer() const noexcept { return tracer_; }
 

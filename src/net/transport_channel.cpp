@@ -16,31 +16,10 @@ TransportChannel::TransportChannel(std::unique_ptr<Transport> transport, int loc
   if (transport_ == nullptr) {
     throw std::invalid_argument("TransportChannel: null transport");
   }
-  stats_ = std::make_shared<crypto::TrafficStats>();
-}
-
-void TransportChannel::note_message(int sender) noexcept {
-  // Mirror every round increment into the tracer at the exact meter site,
-  // so the trace witness stays an independent copy of TrafficStats.
-  if (in_round_) {
-    if (!round_counted_) {
-      ++stats_->rounds;
-      round_counted_ = true;
-      if (tracer_ != nullptr) tracer_->add(obs::Counter::rounds, 1);
-    }
-    last_sender_ = sender;
-  } else if (last_sender_ != sender) {
-    ++stats_->rounds;
-    last_sender_ = sender;
-    if (tracer_ != nullptr) tracer_->add(obs::Counter::rounds, 1);
-  }
 }
 
 void TransportChannel::do_send(std::vector<std::uint8_t>&& data, std::uint64_t wire_bytes) {
-  {
-    std::lock_guard<std::mutex> lk(m_);
-    if (closed_) throw crypto::ChannelClosed("TransportChannel::send: channel closed");
-  }
+  if (closed_) throw crypto::ChannelClosed("TransportChannel::send: channel closed");
   // Frame = [u64 accounted wire bytes][message]; the peer credits our
   // direction with the same figure we do, keeping the two endpoints'
   // meters identical.
@@ -48,35 +27,23 @@ void TransportChannel::do_send(std::vector<std::uint8_t>&& data, std::uint64_t w
   put_u64_le(frame.data(), wire_bytes);
   if (!data.empty()) std::memcpy(frame.data() + 8, data.data(), data.size());
   transport_->send_frame(frame);
-  std::lock_guard<std::mutex> lk(m_);
-  (local_party_ == 0 ? stats_->bytes_p0_to_p1 : stats_->bytes_p1_to_p0) += wire_bytes;
-  ++stats_->messages;
-  if (tracer_ != nullptr) {
-    tracer_->add(local_party_ == 0 ? obs::Counter::bytes_p0_to_p1
-                                   : obs::Counter::bytes_p1_to_p0,
-                 wire_bytes);
-    tracer_->add(obs::Counter::messages, 1);
-  }
-  note_message(local_party_);
+  account(local_party_, wire_bytes);
 }
 
 std::vector<std::uint8_t> TransportChannel::do_recv() {
-  {
-    std::lock_guard<std::mutex> lk(m_);
-    if (closed_) throw crypto::ChannelClosed("TransportChannel::recv: channel closed");
-  }
+  if (closed_) throw crypto::ChannelClosed("TransportChannel::recv: channel closed");
   // Time the blocking wire wait: over TCP every recv is a wait, so the
   // whole recv_frame call counts as recv_wait_us (deserialization above
   // the channel is negligible next to the wire).
-  const bool timed = tracer_ != nullptr && tracer_->enabled();
+  obs::Tracer* const tr = tracer();
   const auto wait_begin =
-      timed ? std::chrono::steady_clock::now() : std::chrono::steady_clock::time_point{};
+      tr != nullptr ? std::chrono::steady_clock::now() : std::chrono::steady_clock::time_point{};
   const std::vector<std::uint8_t> frame = transport_->recv_frame();
-  if (timed) {
-    tracer_->add(obs::Counter::recv_wait_us,
-                 static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::microseconds>(
-                                                std::chrono::steady_clock::now() - wait_begin)
-                                                .count()));
+  if (tr != nullptr) {
+    tr->add(obs::Counter::recv_wait_us,
+            static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::microseconds>(
+                                           std::chrono::steady_clock::now() - wait_begin)
+                                           .count()));
   }
   if (frame.size() < 8) {
     throw FrameError("TransportChannel::recv: frame shorter than its sub-header");
@@ -88,52 +55,13 @@ std::vector<std::uint8_t> TransportChannel::do_recv() {
   if (wire_bytes > 8 * (frame.size() - 8) + 64) {
     throw FrameError("TransportChannel::recv: implausible wire-byte accounting in sub-header");
   }
-  std::vector<std::uint8_t> data(frame.begin() + 8, frame.end());
-  const int peer = 1 - local_party_;
-  std::lock_guard<std::mutex> lk(m_);
-  (peer == 0 ? stats_->bytes_p0_to_p1 : stats_->bytes_p1_to_p0) += wire_bytes;
-  ++stats_->messages;
-  if (tracer_ != nullptr) {
-    tracer_->add(peer == 0 ? obs::Counter::bytes_p0_to_p1 : obs::Counter::bytes_p1_to_p0,
-                 wire_bytes);
-    tracer_->add(obs::Counter::messages, 1);
-  }
-  note_message(peer);
-  return data;
-}
-
-void TransportChannel::begin_round() {
-  std::lock_guard<std::mutex> lk(m_);
-  in_round_ = true;
-  round_counted_ = false;
-}
-
-void TransportChannel::end_round() {
-  std::lock_guard<std::mutex> lk(m_);
-  in_round_ = false;
-  round_counted_ = false;
-  last_sender_ = -1;
+  account(1 - local_party_, wire_bytes);
+  return std::vector<std::uint8_t>(frame.begin() + 8, frame.end());
 }
 
 void TransportChannel::close() {
-  {
-    std::lock_guard<std::mutex> lk(m_);
-    if (closed_) return;
-    closed_ = true;
-  }
+  if (closed_.exchange(true)) return;
   transport_->close();
-}
-
-crypto::TrafficStats TransportChannel::stats_snapshot() const {
-  std::lock_guard<std::mutex> lk(m_);
-  return *stats_;
-}
-
-void TransportChannel::reset_stats() noexcept {
-  std::lock_guard<std::mutex> lk(m_);
-  stats_->reset();
-  last_sender_ = -1;
-  round_counted_ = false;
 }
 
 }  // namespace pasnet::net

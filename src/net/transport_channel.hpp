@@ -3,26 +3,24 @@
 // the in-process 2PC simulation into a real two-process deployment.
 //
 // Each party process owns ONE TransportChannel; the protocol stack above
-// it is unchanged.  The meter is kept pair-equivalent: a send credits the
-// local->peer direction at send time, a recv credits the peer->local
-// direction with the byte count the PEER accounted (carried in a per-
-// message sub-header, so modeled wire widths — e.g. 4 bytes per ring
-// element on a 32-bit wire — survive the hop).  Round counting replays
-// the simulated pair's rule on the locally observed message order: inside
-// a begin_round/end_round bracket everything is one round; outside, a
-// round increments whenever the message direction flips.  Our protocols
-// are strictly alternating outside brackets, so every process observes
-// the same flip sequence the shared simulated meter counts — which is
-// what makes TrafficStats bytes/rounds measured over TCP EQUAL to the
-// in-process channel's for the same program (the acceptance bar the
-// loopback self-test pins).
+// it is unchanged.  The endpoint's own meter (crypto::Channel's) is kept
+// pair-equivalent: a send is accounted to the local->peer direction at
+// send time, a recv to the peer->local direction with the byte count the
+// PEER accounted (carried in a per-message sub-header, so modeled wire
+// widths — e.g. 4 bytes per ring element on a 32-bit wire — survive the
+// hop).  The base class's round rule then runs on the locally observed
+// message order.  Our protocols are strictly alternating outside
+// brackets, so every process observes the same flip sequence the shared
+// simulated meter counts — which is what makes TrafficStats bytes/rounds
+// measured over TCP EQUAL to the in-process channel's for the same
+// program (the acceptance bar the loopback self-test pins).
 //
 // Channel sub-header (inside the transport frame, little-endian):
 //   u64 accounted_wire_bytes | message bytes
 // A sub-header whose byte count fails sanity checks raises FrameError.
 
+#include <atomic>
 #include <memory>
-#include <mutex>
 
 #include "crypto/channel.hpp"
 #include "net/transport.hpp"
@@ -33,11 +31,7 @@ class TransportChannel final : public crypto::Channel {
  public:
   TransportChannel(std::unique_ptr<Transport> transport, int local_party);
 
-  void begin_round() override;
-  void end_round() override;
   void close() override;
-  [[nodiscard]] crypto::TrafficStats stats_snapshot() const override;
-  void reset_stats() noexcept override;
   /// Blocking semantics: recv waits on the wire, like the threaded pair.
   [[nodiscard]] crypto::ChannelMode mode() const noexcept override {
     return crypto::ChannelMode::threaded;
@@ -56,18 +50,9 @@ class TransportChannel final : public crypto::Channel {
   [[nodiscard]] std::vector<std::uint8_t> do_recv() override;
 
  private:
-  /// The simulated pair's round rule applied to the local view: `sender`
-  /// is the party whose message was just observed (local on send, peer on
-  /// recv).  Caller holds m_.
-  void note_message(int sender) noexcept;
-
   std::unique_ptr<Transport> transport_;
   int local_party_;
-  mutable std::mutex m_;
-  int last_sender_ = -1;
-  bool in_round_ = false;
-  bool round_counted_ = false;
-  bool closed_ = false;
+  std::atomic<bool> closed_{false};
 };
 
 }  // namespace pasnet::net

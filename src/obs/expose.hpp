@@ -10,7 +10,8 @@
 //                  + +Inf), `_sum` and `_count`, plus health gauges —
 //                  all labeled {job=...,instance=...}.
 //   GET /healthz   JSON: status, uptime, sessions served, last witness
-//                  verdict, store/triple depletion, run trace id.
+//                  verdict (meter == analytic cost model), store/triple
+//                  depletion, run trace id.
 //
 // The responder is deliberately minimal and hostile-input hardened:
 //  - single serving thread, bounded request size (an oversized request
@@ -22,10 +23,10 @@
 //    metadata (counts, timings) with no authentication, so exposing them
 //    beyond loopback is an explicit operator decision (--metrics-bind).
 //
-// The fourth witness: /metrics renders the SAME counters the three-witness
-// invariant checks (trace == TrafficStats == analytic), read back over a
-// real scrape path.  two_party_common's --verify scrapes its own endpoint
-// and requires the returned round/byte totals to equal the other three.
+// The round/byte families carry the channel meter's totals (each metered
+// window adds them to its tracer once), read back over a real scrape path:
+// two_party_common's --verify scrapes its own endpoint and requires
+// scrape == meter == analytic cost model.
 
 #include <atomic>
 #include <chrono>
@@ -116,8 +117,8 @@ class ExpositionServer {
   std::chrono::steady_clock::time_point started_;
 };
 
-/// Minimal HTTP/1.0 GET for scraping the endpoints (the fourth-witness
-/// self-scrape and the tests).  Returns the response body on 200; throws
+/// Minimal HTTP/1.0 GET for scraping the endpoints (the party binaries'
+/// --verify self-scrape and the tests).  Returns the response body on 200; throws
 /// ExposeError on any other status or a malformed response, net errors on
 /// transport failure.
 [[nodiscard]] std::string http_get(const std::string& host, std::uint16_t port,

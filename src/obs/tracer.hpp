@@ -22,8 +22,8 @@
 //    Perfetto / chrome://tracing load directly, plus `pasnetCounters` and
 //    `pasnetSamples` objects carrying the counter totals and latency
 //    percentiles for machine consumption.
-//  - snapshot(): the raw counter totals, compared by obs::three_witness
-//    (src/obs/witness) against TrafficStats and the analytic cost model.
+//  - snapshot(): the raw counter totals (ChunkStats::trace, the party
+//    session's trace_out, the /metrics endpoint).
 //
 // All tracers share one process-wide steady-clock epoch, so spans recorded
 // by different tracer instances (per-chunk workers) stay on one timeline
@@ -67,11 +67,13 @@ struct TraceId {
   [[nodiscard]] static std::optional<TraceId> from_hex(const std::string& s);
 };
 
-/// The fixed counter set.  Wire/round counters are incremented at the same
-/// program points that update crypto::TrafficStats, which is what makes
-/// the trace an independent witness of the same quantities.
+/// The fixed counter set.  The four traffic counters (rounds, both byte
+/// directions, messages) are not counted here: each metered window adds
+/// its channel meter's crypto::TrafficStats once (crypto::trace_traffic),
+/// so they equal the meter by construction.  The rest are incremented by
+/// the protocol layers as the work happens.
 enum class Counter : int {
-  rounds = 0,          ///< communication rounds (same rule as TrafficStats)
+  rounds = 0,          ///< communication rounds (the channel meter's)
   bytes_p0_to_p1,      ///< accounted wire bytes, party 0 -> party 1
   bytes_p1_to_p0,      ///< accounted wire bytes, party 1 -> party 0
   messages,            ///< framed channel messages

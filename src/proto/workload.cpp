@@ -87,9 +87,10 @@ WorkloadResult Workload::run(const std::vector<nn::Tensor>& inputs) {
     crypto::TwoPartyContext cctx(net_.ring(),
                                  SecureNetwork::query_context_seed(stream_position(lo)),
                                  net_.exec_mode(), net_.round_delay());
-    // Per-chunk tracer: the chunk's counters become its ChunkStats::trace
-    // witness, then merge into the workload tracer (concurrent chunk
-    // workers each own their tracer, so there is no cross-chunk tearing).
+    // Per-chunk tracer: the chunk's counters (its channel meter's traffic
+    // included) become its ChunkStats::trace, then merge into the workload
+    // tracer (concurrent chunk workers each own their tracer, so there is
+    // no cross-chunk tearing).
     obs::Tracer chunk_tracer(tracing);
     if (tracing) cctx.set_tracer(&chunk_tracer);
     const std::uint64_t chunk_begin = tracing ? obs::Tracer::now_us() : 0;
@@ -161,6 +162,7 @@ WorkloadResult Workload::run(const std::vector<nn::Tensor>& inputs) {
       chunk_tracer.complete_span("proto", "chunk", chunk_begin,
                                  static_cast<std::int64_t>(lanes));
       chunk_tracer.sample(obs::Sample::chunk_us, obs::Tracer::now_us() - chunk_begin);
+      crypto::trace_traffic(chunk_tracer, chan);
       cs.trace = chunk_tracer.snapshot();
       tracer_->merge_from(chunk_tracer);
     }

@@ -59,8 +59,9 @@ struct ChunkStats {
   std::size_t queries = 0;      ///< lanes in this chunk
   InferenceStats totals;
   /// Trace-counter totals of this chunk (all zero unless a tracer was
-  /// attached) — the chunk's independently recorded witness of `totals`:
-  /// trace rounds/bytes must equal the channel meter's exactly.
+  /// attached).  Its rounds/bytes/messages are the chunk's channel meter,
+  /// added once (crypto::trace_traffic), so they equal `totals` by
+  /// construction; the other counters come from the protocol layers.
   obs::CounterSnapshot trace;
 };
 
@@ -118,10 +119,11 @@ class Workload {
 
   /// Attaches a tracer (non-owning; nullptr detaches).  Each chunk runs
   /// under its own per-chunk tracer (attached to the chunk context, its
-  /// channel and its per-lane triple sources), whose counter totals land
-  /// in that chunk's ChunkStats::trace; spans, samples and counters are
-  /// then merged into the attached tracer, so concurrent chunk workers
-  /// aggregate into one timeline.
+  /// channel and its per-lane triple sources); the chunk's metered traffic
+  /// is added to it once, its counter totals land in that chunk's
+  /// ChunkStats::trace, and spans, samples and counters are then merged
+  /// into the attached tracer, so concurrent chunk workers aggregate into
+  /// one timeline.
   void set_tracer(obs::Tracer* tracer) noexcept { tracer_ = tracer; }
   [[nodiscard]] obs::Tracer* tracer() const noexcept { return tracer_; }
 

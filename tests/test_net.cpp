@@ -343,56 +343,88 @@ TEST(Handshake, CallerSuppliedTraceIdAndOffsetChainThrough) {
 
 TEST(TransportChannel, MetersMatchTheSimulatedPair) {
   // Replay the same message pattern over an in-process pair and over TCP;
-  // the meters must agree byte for byte and round for round.
+  // the meters must agree byte for byte and round for round at every
+  // checkpoint: after an asymmetric flow, after a reset_stats() followed
+  // by a bracketed exchange, and after a send refused by a closed channel.
   auto [l0, l1] = pc::Channel::make_pair(pc::ChannelMode::lockstep);
   auto [t0r, t1r] = transport_pair();
   net::TransportChannel t0(std::move(t0r), 0);
   net::TransportChannel t1(std::move(t1r), 1);
 
-  const auto drive = [](pc::Channel& c0, pc::Channel& c1) {
-    // Asymmetric flow (an OT-like dance)...
-    c0.send_bytes({1, 2, 3});
-    (void)c1.recv_bytes();
-    c1.send_ring({4, 5}, /*wire_bytes_per_elem=*/4);
-    (void)c0.recv_ring(2, 4);
-    // ...then a bracketed symmetric exchange.
-    c0.begin_round();
-    c1.begin_round();
-    c0.send_u64(7);
-    c1.send_u64(9);
-    (void)c0.recv_u64();
-    (void)c1.recv_u64();
-    c0.end_round();
-    c1.end_round();
-  };
-  drive(*l0, *l1);
+  std::vector<pc::TrafficStats> sim, tcp0, tcp1;
+  // Asymmetric flow (an OT-like dance)...
+  l0->send_bytes({1, 2, 3});
+  (void)l1->recv_bytes();
+  l1->send_ring({4, 5}, /*wire_bytes_per_elem=*/4);
+  (void)l0->recv_ring(2, 4);
+  sim.push_back(l0->stats_snapshot());
+  // ...a reset, then a bracketed symmetric exchange and one more message...
+  l0->reset_stats();
+  l0->begin_round();
+  l1->begin_round();
+  l0->send_u64(7);
+  l1->send_u64(9);
+  (void)l0->recv_u64();
+  (void)l1->recv_u64();
+  l0->end_round();
+  l1->end_round();
+  l1->send_bytes({6});
+  (void)l0->recv_bytes();
+  sim.push_back(l0->stats_snapshot());
+  // ...and a send on a closed channel, which is refused and not metered.
+  l0->close();
+  EXPECT_THROW(l0->send_bytes({8}), pc::ChannelClosed);
+  EXPECT_THROW(l1->send_bytes({8}), pc::ChannelClosed);
+  sim.push_back(l0->stats_snapshot());
+
+  // Each TCP endpoint meters only its own sends and recvs, so each thread
+  // can take its checkpoints on its own.
   std::thread peer([&] {
     (void)t1.recv_bytes();
     t1.send_ring({4, 5}, 4);
+    tcp1.push_back(t1.stats_snapshot());
+    t1.reset_stats();
     t1.begin_round();
     t1.send_u64(9);
     (void)t1.recv_u64();
     t1.end_round();
+    t1.send_bytes({6});
+    tcp1.push_back(t1.stats_snapshot());
   });
   t0.send_bytes({1, 2, 3});
   (void)t0.recv_ring(2, 4);
+  tcp0.push_back(t0.stats_snapshot());
+  t0.reset_stats();
   t0.begin_round();
   t0.send_u64(7);
   (void)t0.recv_u64();
   t0.end_round();
+  (void)t0.recv_bytes();
+  tcp0.push_back(t0.stats_snapshot());
   peer.join();
+  for (net::TransportChannel* t : {&t0, &t1}) {
+    t->close();
+    EXPECT_THROW(t->send_bytes({8}), pc::ChannelClosed);
+  }
+  tcp0.push_back(t0.stats_snapshot());
+  tcp1.push_back(t1.stats_snapshot());
 
-  const pc::TrafficStats sim = l0->stats_snapshot();
-  const pc::TrafficStats tcp0 = t0.stats_snapshot();
-  const pc::TrafficStats tcp1 = t1.stats_snapshot();
-  EXPECT_EQ(tcp0.bytes_p0_to_p1, sim.bytes_p0_to_p1);
-  EXPECT_EQ(tcp0.bytes_p1_to_p0, sim.bytes_p1_to_p0);
-  EXPECT_EQ(tcp0.messages, sim.messages);
-  EXPECT_EQ(tcp0.rounds, sim.rounds);
-  EXPECT_EQ(tcp1.bytes_p0_to_p1, sim.bytes_p0_to_p1);
-  EXPECT_EQ(tcp1.bytes_p1_to_p0, sim.bytes_p1_to_p0);
-  EXPECT_EQ(tcp1.messages, sim.messages);
-  EXPECT_EQ(tcp1.rounds, sim.rounds);
+  // The reset dropped the first flow: one bracketed round plus one round
+  // for the message after it; the refused send changed nothing.
+  EXPECT_EQ(sim[1].messages, 3u);
+  EXPECT_EQ(sim[1].rounds, 2u);
+  EXPECT_EQ(sim[2].messages, sim[1].messages);
+  EXPECT_EQ(sim[2].total_bytes(), sim[1].total_bytes());
+  ASSERT_EQ(tcp0.size(), sim.size());
+  ASSERT_EQ(tcp1.size(), sim.size());
+  for (std::size_t i = 0; i < sim.size(); ++i) {
+    for (const pc::TrafficStats* tcp : {&tcp0[i], &tcp1[i]}) {
+      EXPECT_EQ(tcp->bytes_p0_to_p1, sim[i].bytes_p0_to_p1) << "checkpoint " << i;
+      EXPECT_EQ(tcp->bytes_p1_to_p0, sim[i].bytes_p1_to_p0) << "checkpoint " << i;
+      EXPECT_EQ(tcp->messages, sim[i].messages) << "checkpoint " << i;
+      EXPECT_EQ(tcp->rounds, sim[i].rounds) << "checkpoint " << i;
+    }
+  }
 }
 
 TEST(TransportChannel, LargeSymmetricExchangeDoesNotDeadlockOnFullSocketBuffers) {

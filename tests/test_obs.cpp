@@ -23,7 +23,6 @@
 #include "obs/histogram.hpp"
 #include "obs/json.hpp"
 #include "obs/tracer.hpp"
-#include "obs/witness.hpp"
 #include "proto/secure_network.hpp"
 #include "proto/workload.hpp"
 #include "support/test_models.hpp"

@@ -335,12 +335,10 @@ TEST(OtExtTriples, MeasuredTrafficMatchesAnalyticCost) {
     EXPECT_EQ(st.bytes_p1_to_p0, cost.bytes_p1_to_p0);
     EXPECT_EQ(st.messages, cost.messages);
     EXPECT_EQ(st.rounds, cost.rounds);
-    // The trace is an independent witness of the same quantities, plus the
-    // OT-extension work counters.
+    // The tracer carries the OT-extension work counters.  (Wire traffic
+    // reaches a tracer only from a serving window's meter, not from a
+    // bare context.)
     const obs::CounterSnapshot tr = tracer.snapshot();
-    EXPECT_EQ(tr[obs::Counter::bytes_p0_to_p1], cost.bytes_p0_to_p1);
-    EXPECT_EQ(tr[obs::Counter::bytes_p1_to_p0], cost.bytes_p1_to_p0);
-    EXPECT_EQ(tr[obs::Counter::rounds], cost.rounds);
     EXPECT_EQ(tr[obs::Counter::ot_ext_base], cost.base_ots);
     EXPECT_EQ(tr[obs::Counter::ot_ext_cots], cost.ext_cots);
     EXPECT_EQ(cost.base_ots, 2u * otx::kBaseOts);  // both directions active

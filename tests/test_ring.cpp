@@ -31,8 +31,8 @@ TEST(Ring, EncodeDecodeRoundTrip) {
 
 TEST(Ring, AddSubWrapAround) {
   pc::RingConfig rc{8, 0};
-  EXPECT_EQ(pc::ring_add(200, 100, rc), (200 + 100) % 256);
-  EXPECT_EQ(pc::ring_sub(10, 20, rc), (256 + 10 - 20) % 256);
+  EXPECT_EQ(pc::ring_add(200, 100, rc), (200u + 100u) % 256u);
+  EXPECT_EQ(pc::ring_sub(10, 20, rc), (256u + 10u - 20u) % 256u);
   EXPECT_EQ(pc::ring_neg(1, rc), 255u);
 }
 
