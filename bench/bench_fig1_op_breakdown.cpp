@@ -118,7 +118,8 @@ RoundRow measure_rounds(const char* name, nn::ModelDescriptor md, std::uint64_t 
   proto::Workload wl(snet);
   (void)wl.run({x});
   pc::TwoPartyContext per_op_ctx;
-  (void)ir::execute(pasnet::testing::per_op_groups(snet.program()), snet.params(), per_op_ctx, x);
+  (void)ir::execute_batch(pasnet::testing::per_op_groups(snet.program()), snet.params(),
+                          per_op_ctx, {x});
   proto::Workload wl_b(snet, {proto::WorkloadKind::logits, /*batch=*/4, /*worker_pairs=*/1});
   (void)wl_b.run({x, x, x, x});
   const auto m = model();

@@ -6,8 +6,11 @@
 //   build/examples/export_and_deploy
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "core/derive.hpp"
 #include "data/synthetic.hpp"
@@ -22,6 +25,27 @@ namespace nn = pasnet::nn;
 namespace pc = pasnet::crypto;
 namespace perf = pasnet::perf;
 namespace proto = pasnet::proto;
+
+namespace {
+
+/// A fresh export directory made by mkdtemp, so concurrent runs never
+/// share files; removed with the export on every return from main.
+struct ExportDir {
+  std::string dir = "/tmp/pasnet_export.XXXXXX";
+  std::string desc, weights;
+  ExportDir() {
+    if (mkdtemp(dir.data()) == nullptr) throw std::runtime_error("mkdtemp failed: " + dir);
+    desc = dir + "/model.desc";
+    weights = dir + "/model.weights";
+  }
+  ~ExportDir() {
+    for (const std::string* path : {&desc, &weights, &dir}) std::remove(path->c_str());
+  }
+  ExportDir(const ExportDir&) = delete;
+  ExportDir& operator=(const ExportDir&) = delete;
+};
+
+}  // namespace
 
 int main() {
   std::printf("== PASNet export & deploy workflow ==\n\n");
@@ -56,24 +80,23 @@ int main() {
     return core::Batch{std::move(x), std::move(y)};
   }, fcfg);
 
-  const std::string desc_path = "/tmp/pasnet_model.desc";
-  const std::string ckpt_path = "/tmp/pasnet_model.weights";
+  const ExportDir out;
   {
-    std::ofstream df(desc_path);
+    std::ofstream df(out.desc);
     df << nn::descriptor_to_text(arch.descriptor);
   }
-  nn::save_weights_file(*trained, ckpt_path);
-  std::printf("exported: %s + %s\n", desc_path.c_str(), ckpt_path.c_str());
+  nn::save_weights_file(*trained, out.weights);
+  std::printf("exported: %s + %s\n", out.desc.c_str(), out.weights.c_str());
 
   // --- Deployment side: reload and serve. ------------------------------
-  std::ifstream df(desc_path);
+  std::ifstream df(out.desc);
   std::stringstream ss;
   ss << df.rdbuf();
   const auto descriptor = nn::descriptor_from_text(ss.str());
   pc::Prng fresh(99);
   std::vector<int> node_of_layer;
   auto served = nn::build_graph(descriptor, fresh, &node_of_layer);
-  if (!nn::load_weights_file(*served, ckpt_path)) {
+  if (!nn::load_weights_file(*served, out.weights)) {
     std::printf("checkpoint missing!\n");
     return 1;
   }

@@ -27,7 +27,8 @@
 // evaluates the cross terms directly.
 //
 // `TripleCounters` records how much offline material the online protocols
-// consumed so experiments can report offline cost.
+// consumed so experiments can report offline cost; every TripleSource
+// (crypto/triple_source.hpp) keeps one, the dealer itself counts nothing.
 
 #include <cstdint>
 #include <vector>
@@ -153,13 +154,9 @@ class TripleDealer {
     for (std::size_t i = 0; i < na; ++i) a[i] = (h0.a[i] + h1.a[i]) & rc_.mask();
     const RingVec f0 = f(a, h0.b);
     const RingVec f1 = f(a, h1.b);
-    BilinearTriple t = assemble_bilinear(h0, h1, f0, f1, nz);
-    counters_.bilinear_triple_elems += na + nb + nz;
-    return t;
+    return assemble_bilinear(h0, h1, f0, f1, nz);
   }
 
-  [[nodiscard]] const TripleCounters& counters() const noexcept { return counters_; }
-  void reset_counters() noexcept { counters_.reset(); }
   [[nodiscard]] const RingConfig& ring() const noexcept { return rc_; }
 
  private:
@@ -171,7 +168,6 @@ class TripleDealer {
   RingConfig rc_;
   Prng prng0_;
   Prng prng1_;
-  TripleCounters counters_;
 };
 
 /// Plain row-major ring matrix product (local helper, no protocol).

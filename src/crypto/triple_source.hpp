@@ -77,8 +77,8 @@ using BilinearMap = std::function<RingVec(const RingVec&, const RingVec&)>;
 [[nodiscard]] BilinearMap build_bilinear_map(const BilinearSpec& spec, const RingConfig& rc);
 
 /// Where the online protocols get their correlated randomness.  The public
-/// methods record consumption in the source's TripleCounters (the same
-/// accounting TripleDealer keeps) and delegate to the backend.
+/// methods record consumption in the source's TripleCounters — the one
+/// count of offline material consumed — and delegate to the backend.
 class TripleSource {
  public:
   virtual ~TripleSource() = default;

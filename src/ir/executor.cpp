@@ -14,65 +14,36 @@ using crypto::RingConfig;
 using crypto::Shared;
 using proto::SecureTensor;
 
-/// Discards the context buffers' pending stages on scope exit.  An
-/// exception mid-round-group leaves stages pending whose output pointers
-/// refer to ops this frame owns — dropping them keeps the unwind from
-/// throwing in a destructor and the reused context from writing through
-/// dangling pointers.
-class DiscardScope {
+/// Cleans the context up on scope exit.  An exception mid-round-group
+/// leaves stages pending whose output pointers refer to ops this frame owns
+/// — dropping them keeps the unwind from throwing in a destructor and the
+/// reused context from writing through dangling pointers.  It also restores
+/// the context's triple source and prng() override: per-lane streams are
+/// owned by the caller's frame, so a lane switch interrupted by an
+/// exception (store exhaustion mid-group) must not leave them installed on
+/// a longer-lived context.
+class ContextScope {
  public:
-  explicit DiscardScope(crypto::TwoPartyContext& ctx) : ctx_(ctx) {}
-  ~DiscardScope() {
+  explicit ContextScope(crypto::TwoPartyContext& ctx)
+      : ctx_(ctx),
+        source_(ctx.installed_triple_source()),
+        prng0_(ctx.prng_override(0)),
+        prng1_(ctx.prng_override(1)) {}
+  ~ContextScope() {
     ctx_.opens().discard();
     ctx_.ots().discard();
     ctx_.bit_opens().discard();
+    ctx_.set_triple_source(source_);
+    ctx_.set_prng_override(prng0_, prng1_);
   }
-  DiscardScope(const DiscardScope&) = delete;
-  DiscardScope& operator=(const DiscardScope&) = delete;
+  ContextScope(const ContextScope&) = delete;
+  ContextScope& operator=(const ContextScope&) = delete;
 
  private:
   crypto::TwoPartyContext& ctx_;
-};
-
-/// Restores the context's installed triple source on scope exit — a lane
-/// switch interrupted by an exception (store exhaustion mid-group) must not
-/// leave a dangling per-lane source installed on a longer-lived context.
-class SourceScope {
- public:
-  SourceScope(crypto::TwoPartyContext& ctx, bool active)
-      : ctx_(ctx), active_(active), prev_(active ? ctx.installed_triple_source() : nullptr) {}
-  ~SourceScope() {
-    if (active_) ctx_.set_triple_source(prev_);
-  }
-  SourceScope(const SourceScope&) = delete;
-  SourceScope& operator=(const SourceScope&) = delete;
-
- private:
-  crypto::TwoPartyContext& ctx_;
-  bool active_;
-  crypto::TripleSource* prev_;
-};
-
-/// Restores the context's prng() override on scope exit — the per-lane
-/// share-randomness streams are owned by the caller's frame, so a thrown
-/// group must not leave them installed on a longer-lived context.
-class PrngScope {
- public:
-  PrngScope(crypto::TwoPartyContext& ctx, bool active)
-      : ctx_(ctx), active_(active),
-        prev0_(active ? ctx.prng_override(0) : nullptr),
-        prev1_(active ? ctx.prng_override(1) : nullptr) {}
-  ~PrngScope() {
-    if (active_) ctx_.set_prng_override(prev0_, prev1_);
-  }
-  PrngScope(const PrngScope&) = delete;
-  PrngScope& operator=(const PrngScope&) = delete;
-
- private:
-  crypto::TwoPartyContext& ctx_;
-  bool active_;
-  crypto::Prng* prev0_;
-  crypto::Prng* prev1_;
+  crypto::TripleSource* source_;
+  crypto::Prng* prng0_;
+  crypto::Prng* prng1_;
 };
 
 }  // namespace
@@ -96,6 +67,11 @@ CompiledParams share_parameters(const SecureProgram& p, crypto::Prng& prng,
   return cp;
 }
 
+SecureTensor share_client_input(const nn::Tensor& input, const RingConfig& rc) {
+  crypto::Prng client_prng(0xC11E47ULL);
+  return proto::share_tensor(input, client_prng, rc);
+}
+
 BatchExecResult execute_batch(const SecureProgram& p, const CompiledParams& params,
                               crypto::TwoPartyContext& ctx, const std::vector<nn::Tensor>& inputs,
                               const BatchExecOptions& opts) {
@@ -104,11 +80,8 @@ BatchExecResult execute_batch(const SecureProgram& p, const CompiledParams& para
   if (!opts.input_shares.empty() && !inputs.empty() && inputs.size() != lanes) {
     throw std::invalid_argument("ir::execute_batch: inputs/input_shares lane count mismatch");
   }
-  if (!opts.lane_sources.empty() && opts.lane_sources.size() != lanes) {
-    throw std::invalid_argument("ir::execute_batch: lane_sources must cover every lane");
-  }
-  if (!opts.lane_prngs.empty() && opts.lane_prngs.size() != lanes) {
-    throw std::invalid_argument("ir::execute_batch: lane_prngs must cover every lane");
+  if (!opts.lanes.empty() && opts.lanes.size() != lanes) {
+    throw std::invalid_argument("ir::execute_batch: lanes must cover every lane");
   }
 
   const RingConfig& rc = ctx.ring();
@@ -116,22 +89,12 @@ BatchExecResult execute_batch(const SecureProgram& p, const CompiledParams& para
   const obs::SpanGuard run_span(tracer, "ir", "execute_batch",
                                 static_cast<std::int64_t>(lanes));
   crypto::OpenBuffer& opens = ctx.opens();
-  DiscardScope discard_guard(ctx);
-  SourceScope source_guard(ctx, !opts.lane_sources.empty());
-  PrngScope prng_guard(ctx, !opts.lane_prngs.empty());
+  const ContextScope scope(ctx);
   const auto use_lane = [&](std::size_t q) {
-    if (!opts.lane_sources.empty()) ctx.set_triple_source(opts.lane_sources[q]);
-    if (!opts.lane_prngs.empty()) {
-      ctx.set_prng_override(opts.lane_prngs[q].first, opts.lane_prngs[q].second);
-    }
+    if (opts.lanes.empty()) return;
+    ctx.set_triple_source(opts.lanes[q].triples);
+    ctx.set_prng_override(opts.lanes[q].prng0, opts.lanes[q].prng1);
   };
-
-  // One canonical client share-generation PRG per lane: lane q's input
-  // sharing (and therefore its truncation-noise trajectory) matches the
-  // independent single-query run of the same query exactly.
-  std::vector<crypto::Prng> input_prngs;
-  input_prngs.reserve(lanes);
-  for (std::size_t q = 0; q < lanes; ++q) input_prngs.emplace_back(0xC11E47ULL);
 
   std::vector<std::vector<SecureTensor>> acts(lanes,
                                               std::vector<SecureTensor>(p.ops.size()));
@@ -283,7 +246,7 @@ BatchExecResult execute_batch(const SecureProgram& p, const CompiledParams& para
             sop = std::make_unique<proto::StagedX2act>(in(q), op.a_coeff, op.act_w2, op.act_b);
             break;
           default:
-            throw std::logic_error("ir::execute: unreachable staged kind");
+            throw std::logic_error("ir::execute_batch: unreachable staged kind");
         }
         sop->stage(ctx);
         staged.push_back(StagedInst{std::move(sop), i, q});
@@ -307,7 +270,7 @@ BatchExecResult execute_batch(const SecureProgram& p, const CompiledParams& para
                                                          opts.cfg.ot_mode);
             break;
           default:
-            throw std::logic_error("ir::execute: unreachable compare kind");
+            throw std::logic_error("ir::execute_batch: unreachable compare kind");
         }
         cop->begin(ctx);
         comps.push_back(CompInst{std::move(cop), i, q});
@@ -325,7 +288,7 @@ BatchExecResult execute_batch(const SecureProgram& p, const CompiledParams& para
           deliver(q, i,
                   !opts.input_shares.empty()
                       ? *opts.input_shares[q]
-                      : proto::share_tensor(inputs[q], input_prngs[q], rc));
+                      : share_client_input(inputs[q], rc));
           break;
         case OpKind::avgpool:
           deliver(q, i, proto::secure_avgpool(ctx, in(q), op.kernel, op.stride, op.pad));
@@ -343,14 +306,14 @@ BatchExecResult execute_batch(const SecureProgram& p, const CompiledParams& para
           break;
         case OpKind::argmax:
           if (static_cast<int>(i) != p.output) {
-            throw std::logic_error("ir::execute: argmax must be the program output");
+            throw std::logic_error("ir::execute_batch: argmax must be the program output");
           }
           result.labels.push_back(proto::secure_argmax(ctx, in(q), opts.cfg));
           break;
         case OpKind::batchnorm:
-          throw std::logic_error("ir::execute: unfolded batch-norm (run the pass pipeline)");
+          throw std::logic_error("ir::execute_batch: unfolded batch-norm (run the pass pipeline)");
         default:
-          throw std::logic_error("ir::execute: unreachable local kind");
+          throw std::logic_error("ir::execute_batch: unreachable local kind");
       }
     }
   }
@@ -374,29 +337,6 @@ BatchExecResult execute_batch(const SecureProgram& p, const CompiledParams& para
     result.logits.push_back(nn::Tensor::from_doubles(crypto::decode_vec(revealed[q], rc),
                                                      std::vector<int>(final_act.shape)));
   }
-  return result;
-}
-
-ExecResult execute(const SecureProgram& p, const CompiledParams& params,
-                   crypto::TwoPartyContext& ctx, const nn::Tensor& input,
-                   const ExecOptions& opts) {
-  BatchExecOptions bopts;
-  bopts.cfg = opts.cfg;
-  if (opts.layer_hook) {
-    const auto& hook = opts.layer_hook;
-    bopts.layer_hook = [&hook](std::size_t, int layer) { hook(layer); };
-  }
-  if (opts.op_hook) {
-    const auto& hook = opts.op_hook;
-    bopts.op_hook = [&hook](std::size_t, std::size_t idx, const SecureTensor& t) {
-      hook(idx, t);
-    };
-  }
-  if (opts.input_shares != nullptr) bopts.input_shares = {opts.input_shares};
-  BatchExecResult batch = execute_batch(p, params, ctx, {input}, bopts);
-  ExecResult result;
-  if (!batch.logits.empty()) result.logits = std::move(batch.logits[0]);
-  if (!batch.labels.empty()) result.labels = std::move(batch.labels[0]);
   return result;
 }
 

@@ -3,23 +3,23 @@
 // protocol stack.
 //
 // Parameters are secret-shared once (share_parameters) and reused across
-// queries; execute() walks the program in order, staging the openings of
-// every round group on the context's buffers and flushing each group
-// together: one exchange for all its single-round openings, one shared
-// phase walk for its comparisons.  There is one schedule — the program's
-// round groups.  Staging preserves the program-order dealer and PRNG draw
-// sequence, so regrouping a program (e.g. one group per op, the
-// differential oracle of the test suites) changes rounds and messages,
-// never values.
+// queries.  execute_batch() runs K query lanes inside ONE context: it walks
+// the program in order, every op stages all K lanes' instances on the
+// context's buffers, and each round group flushes together — one exchange
+// for all its single-round openings, one shared phase walk for its
+// comparisons — so a group's OT dance, AND levels and openings are shared
+// across the batch and its rounds are independent of K.  There is one
+// schedule — the program's round groups.  Staging preserves the
+// program-order dealer and PRNG draw sequence, so regrouping a program (e.g.
+// one group per op, the differential oracle of the test suites) changes
+// rounds and messages, never values.
 //
-// execute_batch() generalizes the walk to K queries inside ONE context:
-// every op stages all K lanes' instances into the same round group, so
-// each group's OT dance, AND levels and openings are shared across the
-// whole batch and the group rounds are independent of K.  Each lane draws
-// correlated randomness from its own TripleSource and shares its input
-// with its own canonical client PRG, which makes the batched logits
-// bit-identical to K independent single-query runs on canonically seeded
-// per-query contexts.
+// Every lane shares its input with the canonical client sharing
+// (share_client_input).  A caller that passes Lanes gives each lane its own
+// triple source and share-randomness pair; seeded like fresh per-query
+// contexts (proto::ChunkLanes), they make the batched logits bit-identical
+// to K independent runs.  An independent run is execute_batch with one lane
+// and no Lanes: it draws from the context's own streams.
 
 #include <functional>
 
@@ -40,65 +40,36 @@ struct CompiledParams {
 [[nodiscard]] CompiledParams share_parameters(const SecureProgram& program, crypto::Prng& prng,
                                               const crypto::RingConfig& rc);
 
-/// Execution knobs.
-struct ExecOptions {
-  proto::SecureConfig cfg;
-  /// Invoked with each op's descriptor-layer tag right before the op draws
-  /// its correlated randomness (the preprocessing-plan oracle hook).
-  std::function<void(int)> layer_hook;
-  /// Invoked with (op index, output tensor) as each op's secret-shared
-  /// output lands — after its round group delivers.  The differential test
-  /// harness compares these shares request-for-request between groupings
-  /// of one program; argmax terminals (label outputs) are not reported.
-  std::function<void(std::size_t, const proto::SecureTensor&)> op_hook;
-  /// Pre-shared input (non-owning; must outlive the call).  When set, the
-  /// input op delivers a copy of these shares instead of sharing the
-  /// plaintext input tensor with the canonical client PRG — the remote
-  /// (two-process) path, where the model-serving party holds only its
-  /// input-share half and never sees the plaintext.  The client computes
-  /// the sharing with the same canonical PRG, so both entry points produce
-  /// identical share values and bit-identical logits.
-  const proto::SecureTensor* input_shares = nullptr;
-};
+/// The canonical client sharing of one lane's input: a fresh client PRG
+/// per lane, so a lane's share values (and with them its truncation noise)
+/// are the same whether the executor's input op or a remote client
+/// (net::PartySession::run_batch) computes them.
+[[nodiscard]] proto::SecureTensor share_client_input(const nn::Tensor& input,
+                                                     const crypto::RingConfig& rc);
 
-/// What a program run reveals to the client.
-struct ExecResult {
-  nn::Tensor logits;        ///< reconstructed logits (empty for argmax programs)
-  std::vector<int> labels;  ///< revealed labels (argmax-terminated programs only)
+/// One lane's randomness streams (non-owning).  The executor installs them
+/// on the context around every draw of the lane's instances — `triples` as
+/// the triple source, (prng0, prng1) as the prng() override — and restores
+/// the context's own installation on return.
+struct Lane {
+  crypto::TripleSource* triples = nullptr;
+  crypto::Prng* prng0 = nullptr;
+  crypto::Prng* prng1 = nullptr;
 };
-
-/// Runs one query.  The input is shared with the canonical client PRG, the
-/// program executes group by group, and the terminal op's value (logits or
-/// argmax labels) is jointly opened.
-[[nodiscard]] ExecResult execute(const SecureProgram& program, const CompiledParams& params,
-                                 crypto::TwoPartyContext& ctx, const nn::Tensor& input,
-                                 const ExecOptions& opts = ExecOptions{});
 
 /// Knobs of a K-lane batched run.  All hooks receive the lane index first.
 struct BatchExecOptions {
   proto::SecureConfig cfg;
   /// (lane, descriptor-layer tag), right before that lane's instance draws
-  /// its correlated randomness.
+  /// its correlated randomness (the preprocessing-plan oracle hook).
   std::function<void(std::size_t, int)> layer_hook;
-  /// (lane, op index, output tensor) as each lane's op output lands.
+  /// (lane, op index, output tensor) as each lane's op output lands, after
+  /// its round group delivers (argmax terminals are not reported).
   std::function<void(std::size_t, std::size_t, const proto::SecureTensor&)> op_hook;
-  /// Per-lane correlated-randomness sources (non-owning; must outlive the
-  /// call).  When set (size K), the executor installs lane q's source on
-  /// the context around every draw of lane q's instances and restores the
-  /// context's own installation on return — this is what pins lane q's
-  /// dealer stream to the stream an independent single-query run of query
-  /// q would consume.  When empty, every lane draws from the context's
-  /// currently installed source (single-lane callers).
-  std::vector<crypto::TripleSource*> lane_sources;
-  /// Per-lane share-randomness streams (non-owning; must outlive the
-  /// call).  When set (size K), the executor installs lane q's pair as the
-  /// context's prng() override around every draw of lane q's instances —
-  /// the PRNG analog of lane_sources.  Seed the pair exactly like a fresh
-  /// per-query context (splitmix64(context_seed ^ 1) / (context_seed ^ 2))
-  /// and lane q's share-affecting draws — millionaire leaf masks, hence
-  /// share splits and truncation noise — replay its independent run's.
-  /// When empty, every lane draws from the context's own streams.
-  std::vector<std::pair<crypto::Prng*, crypto::Prng*>> lane_prngs;
+  /// Per-lane randomness streams (size K; must outlive the call).  When
+  /// empty, every lane draws from the context's own triple source and
+  /// share streams.
+  std::vector<Lane> lanes;
   /// Per-lane pre-shared inputs (non-owning; must outlive the call).  When
   /// set (size K), lane q's input op delivers a copy of *input_shares[q]
   /// instead of sharing inputs[q] — the remote (two-process) path.
@@ -115,11 +86,12 @@ struct BatchExecResult {
 /// lanes' instances into the same round group before the group flushes, so
 /// comparison rounds are shared batch-wide (a group costs the rounds of
 /// ONE comparison stack regardless of K) and the terminal logits of all
-/// lanes reveal in one joint opening.  Lane q shares its input with its
-/// own canonical client PRG and draws from lane_sources[q] (when given),
-/// making each lane's transcript values bit-identical to an independent
-/// single-query run.  Argmax terminals run per lane — the tournament is
-/// not a staged op — so label programs pay their terminal rounds K times.
+/// lanes reveal in one joint opening.  Lane q draws from opts.lanes[q]
+/// (when given), making each lane's transcript values bit-identical to an
+/// independent one-lane run.  Argmax terminals run per lane — the
+/// tournament is not a staged op — so label programs pay their terminal
+/// rounds K times.  Throws std::invalid_argument when opts.lanes or
+/// opts.input_shares does not match the lane count.
 [[nodiscard]] BatchExecResult execute_batch(const SecureProgram& program,
                                             const CompiledParams& params,
                                             crypto::TwoPartyContext& ctx,

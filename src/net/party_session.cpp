@@ -2,7 +2,7 @@
 
 #include "net/wire.hpp"
 #include "offline/ot_triple_source.hpp"
-#include "proto/secure_network.hpp"
+#include "proto/workload.hpp"
 
 namespace pasnet::net {
 
@@ -99,26 +99,6 @@ void PartySession::verify_plan(const offline::PreprocessingPlan& plan) {
   }
 }
 
-ir::ExecResult PartySession::run_query(const ir::SecureProgram& program,
-                                       const ir::CompiledParams& params, std::size_t q,
-                                       const nn::Tensor* input,
-                                       const RemoteSessionOptions& opts,
-                                       crypto::TrafficStats* stats_out) {
-  std::vector<nn::Tensor> inputs;
-  if (party_ == 0) {
-    if (input == nullptr) {
-      throw std::invalid_argument("PartySession::run_query: party 0 owns the input");
-    }
-    inputs.push_back(*input);
-  }
-  ir::BatchExecResult batch = run_batch(program, params, q, party_ == 0 ? &inputs : nullptr,
-                                        /*lanes=*/1, opts, stats_out);
-  ir::ExecResult res;
-  if (!batch.logits.empty()) res.logits = std::move(batch.logits[0]);
-  if (!batch.labels.empty()) res.labels = std::move(batch.labels[0]);
-  return res;
-}
-
 ir::BatchExecResult PartySession::run_batch(const ir::SecureProgram& program,
                                             const ir::CompiledParams& params, std::size_t q,
                                             const std::vector<nn::Tensor>* inputs,
@@ -133,17 +113,16 @@ ir::BatchExecResult PartySession::run_batch(const ir::SecureProgram& program,
   obs::Tracer chunk_tracer(tracing);
   const std::uint64_t chunk_begin = tracing ? obs::Tracer::now_us() : 0;
   // --- setup frames (outside the metered window) ---------------------------
-  // One input-share frame per lane, each computed with the executor's
-  // canonical per-lane client PRG: identical share values to the
-  // in-process batched input op, so logits stay bit-identical.
+  // One input-share frame per lane, computed with the executor's canonical
+  // client sharing: identical share values to the in-process batched input
+  // op, so logits stay bit-identical.
   std::vector<proto::SecureTensor> input_shares(lanes);
   if (party_ == 0) {
     if (inputs == nullptr || inputs->size() != lanes) {
       throw std::invalid_argument("PartySession::run_batch: party 0 owns one input per lane");
     }
     for (std::size_t j = 0; j < lanes; ++j) {
-      crypto::Prng input_prng(0xC11E47ULL);
-      input_shares[j] = proto::share_tensor((*inputs)[j], input_prng, rc_);
+      input_shares[j] = ir::share_client_input((*inputs)[j], rc_);
       send_tensor_share(chan_, input_shares[j], /*for_party=*/1);
     }
   } else {
@@ -152,28 +131,33 @@ ir::BatchExecResult PartySession::run_batch(const ir::SecureProgram& program,
     }
   }
 
-  // --- per-lane triple sourcing ---------------------------------------------
+  // --- the chunk's lanes ----------------------------------------------------
   // Lane j's canonical stream position follows the in-process Workload
   // path: store claims decide it under TripleSourceKind::store, the
   // explicit claim index q + j under dealer, the stream position q + j
-  // under fused.  Both processes derive the same positions, so their
-  // per-lane dealer/PRNG streams — the shared trusted setup — coincide.
+  // under fused and ot_ext.  Both processes derive the same positions, so
+  // their per-lane dealer/PRNG streams — the shared trusted setup —
+  // coincide.  Fused lanes serve their canonical dealers; the other
+  // sources serve one bundle per lane.
+  std::vector<std::size_t> positions(lanes);
+  std::vector<offline::QueryBundle*> bundles;
   std::vector<std::optional<offline::QueryBundle>> dealer_bundles(lanes);
-  std::vector<offline::QueryBundle*> bundles(lanes, nullptr);
-  std::vector<std::size_t> seed_idx(lanes);
+  std::vector<offline::QueryBundle> ot_bundles(opts.source == TripleSourceKind::ot_ext ? lanes : 0);
   for (std::size_t j = 0; j < lanes; ++j) {
-    seed_idx[j] = q + j;
+    positions[j] = q + j;
     switch (opts.source) {
       case TripleSourceKind::fused:
+        break;
       case TripleSourceKind::ot_ext:
+        bundles.push_back(&ot_bundles[j]);  // filled by the offline window
         break;
       case TripleSourceKind::store: {
         if (opts.store == nullptr) {
           throw std::invalid_argument("PartySession::run_batch: store source without a store");
         }
         const auto [idx, b] = opts.store->claim_next();
-        seed_idx[j] = idx;
-        bundles[j] = b;
+        positions[j] = idx;
+        bundles.push_back(b);
         break;
       }
       case TripleSourceKind::dealer: {
@@ -187,11 +171,12 @@ ir::BatchExecResult PartySession::run_batch(const ir::SecureProgram& program,
           chunk_tracer.sample(obs::Sample::dealer_claim_us,
                               obs::Tracer::now_us() - claim_begin);
         }
-        if (dealer_bundles[j].has_value()) bundles[j] = &*dealer_bundles[j];
+        bundles.push_back(dealer_bundles[j].has_value() ? &*dealer_bundles[j] : nullptr);
         break;
       }
     }
   }
+  const proto::ChunkLanes chunk(rc_, positions, bundles, opts.policy);
 
   // --- the offline window (TripleSourceKind::ot_ext only) -------------------
   // The two endpoints generate every lane's bundle themselves over IKNP OT
@@ -203,7 +188,6 @@ ir::BatchExecResult PartySession::run_batch(const ir::SecureProgram& program,
   // separately (stats reset on both sides of it) so the ONLINE window's
   // traffic is exactly what the other serving modes measure; the offline
   // traffic has its own analytic model, ot_ext_generation_cost.
-  std::vector<offline::QueryBundle> ot_bundles;
   if (opts.source == TripleSourceKind::ot_ext) {
     if (opts.plan == nullptr) {
       throw std::invalid_argument("PartySession::run_batch: ot_ext source without a plan");
@@ -221,19 +205,12 @@ ir::BatchExecResult PartySession::run_batch(const ir::SecureProgram& program,
     const std::uint64_t offline_begin = tracing ? obs::Tracer::now_us() : 0;
     {
       const DetachChanTracer offline_detach{tracing ? &chan_ : nullptr};
-      crypto::TwoPartyContext gen_ctx(
-          rc_, proto::SecureNetwork::query_context_seed(seed_idx[0]), party_, chan_);
+      crypto::TwoPartyContext gen_ctx(rc_, chunk.context_seed(), party_, chan_);
       if (tracing) gen_ctx.set_tracer(&offline_tracer);
-      // The per-lane seeds only size the generation in a remote context
-      // (halves come from role_prng there); passing the canonical values
-      // keeps the call shape identical to the simulation paths.
-      std::vector<std::uint64_t> seeds(lanes);
-      for (std::size_t j = 0; j < lanes; ++j) {
-        seeds[j] = proto::SecureNetwork::query_dealer_seed(seed_idx[j]);
-      }
-      ot_bundles.resize(lanes);
-      offline::generate_bundles_ot_ext(*opts.plan, gen_ctx, seeds, ot_bundles.data());
-      for (std::size_t j = 0; j < lanes; ++j) bundles[j] = &ot_bundles[j];
+      // A remote context draws the halves from role_prng, so the dealer
+      // seeds only set the lane count.
+      offline::generate_bundles_ot_ext(*opts.plan, gen_ctx, std::vector<std::uint64_t>(lanes),
+                                       ot_bundles.data());
     }
     const crypto::TrafficStats offline_stats = chan_.stats_snapshot();
     if (opts.offline_stats_out != nullptr) *opts.offline_stats_out = offline_stats;
@@ -248,47 +225,20 @@ ir::BatchExecResult PartySession::run_batch(const ir::SecureProgram& program,
 
   // --- the metered chunk ----------------------------------------------------
   // One remote context for the whole chunk, seeded with lane 0's canonical
-  // context seed (matching Workload::run); every lane draws triples from
-  // its own canonically seeded dealer stream and share randomness from its
-  // own canonically seeded PRNG pair, exactly like the in-process batch.
+  // context seed (matching Workload::run); every lane draws from its own
+  // canonically seeded streams, exactly like the in-process batch.
   chan_.reset_stats();
   crypto::RemoteContextOptions ctx_opts;
   ctx_opts.ot_mode = opts.cfg.ot_mode;
   ctx_opts.allow_ideal_ot = opts.allow_ideal_ot;
-  crypto::TwoPartyContext ctx(rc_, proto::SecureNetwork::query_context_seed(seed_idx[0]),
-                              party_, chan_, ctx_opts);
+  crypto::TwoPartyContext ctx(rc_, chunk.context_seed(), party_, chan_, ctx_opts);
   // Attach the chunk tracer only now — the metered window.
   const DetachChanTracer detach{tracing ? &chan_ : nullptr};
   if (tracing) ctx.set_tracer(&chunk_tracer);
-  std::vector<std::unique_ptr<crypto::TripleDealer>> lane_dealers;
-  std::vector<std::unique_ptr<crypto::TripleSource>> owned_sources;
-  std::vector<std::unique_ptr<crypto::Prng>> owned_prngs;
   ir::BatchExecOptions bopts;
   bopts.cfg = opts.cfg;
-  bopts.lane_sources.resize(lanes);
-  bopts.lane_prngs.resize(lanes);
-  bopts.input_shares.resize(lanes);
-  lane_dealers.reserve(lanes);
-  owned_sources.reserve(lanes);
-  owned_prngs.reserve(2 * lanes);
-  for (std::size_t j = 0; j < lanes; ++j) {
-    lane_dealers.push_back(std::make_unique<crypto::TripleDealer>(
-        rc_, proto::SecureNetwork::query_dealer_seed(seed_idx[j])));
-    if (opts.source == TripleSourceKind::fused) {
-      owned_sources.push_back(
-          std::make_unique<crypto::DealerTripleSource>(*lane_dealers.back(), rc_));
-    } else {
-      owned_sources.push_back(std::make_unique<offline::StoreTripleSource>(
-          bundles[j], *lane_dealers.back(), opts.policy));
-    }
-    bopts.lane_sources[j] = owned_sources.back().get();
-    const std::uint64_t cseed = proto::SecureNetwork::query_context_seed(seed_idx[j]);
-    owned_prngs.push_back(std::make_unique<crypto::Prng>(crypto::splitmix64(cseed ^ 1)));
-    bopts.lane_prngs[j].first = owned_prngs.back().get();
-    owned_prngs.push_back(std::make_unique<crypto::Prng>(crypto::splitmix64(cseed ^ 2)));
-    bopts.lane_prngs[j].second = owned_prngs.back().get();
-    bopts.input_shares[j] = &input_shares[j];
-  }
+  bopts.lanes = chunk.lanes();
+  for (const proto::SecureTensor& t : input_shares) bopts.input_shares.push_back(&t);
   ir::BatchExecResult res = ir::execute_batch(program, params, ctx, {}, bopts);
   const crypto::TrafficStats online_stats = chan_.stats_snapshot();
   if (stats_out != nullptr) *stats_out = online_stats;

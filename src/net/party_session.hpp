@@ -5,21 +5,22 @@
 //
 // Topology: party 1 (the model-serving side) listens, party 0 (the input-
 // owning client) dials.  One TCP connection carries the whole session;
-// each query runs on a fresh remote TwoPartyContext borrowed over it,
-// seeded with the SAME canonical per-query seeds the in-process batch and
-// store paths use — which is what makes two-process logits bit-identical
-// to the in-process transcripts, query for query, for the fused / store /
-// dealer sources.  The ot_ext source is the exception by design: its
-// triple halves come from role-private entropy, so its logits match the
-// canonical transcripts only up to truncation-LSB noise (see
-// offline/ot_triple_source.hpp).
+// each run_batch chunk runs on a fresh remote TwoPartyContext borrowed over
+// it, and its lanes are a proto::ChunkLanes built from the SAME canonical
+// stream positions the in-process Workload uses — which is what makes
+// two-process logits bit-identical to the in-process transcripts, query
+// for query, for the fused / store / dealer sources.  The ot_ext source is
+// the exception by design: its triple halves come from role-private
+// entropy, so its logits match the canonical transcripts only up to
+// truncation-LSB noise (see offline/ot_triple_source.hpp).
 //
-// Per query: party 0 computes the input sharing with the executor's
-// canonical client PRG and ships party 1's half as a setup frame (party 1
-// never sees the plaintext input); channel stats reset; the IR program
-// executes over the wire; the terminal opening reveals logits (or argmax
-// labels) to both sides.  Setup frames ride outside the metered window,
-// so TrafficStats cover exactly what the in-process meter covers.
+// Per chunk: party 0 shares each lane's input with ir::share_client_input
+// and ships party 1's half as a setup frame (party 1 never sees the
+// plaintext input); channel stats reset; the IR program executes over the
+// wire; the terminal opening reveals logits (or argmax labels) to both
+// sides.  Setup frames ride outside the metered window, so TrafficStats
+// cover exactly what the in-process meter covers.  A single query is a
+// one-lane chunk.
 
 #include <optional>
 
@@ -96,16 +97,6 @@ class PartySession {
   /// before the first query.
   void verify_plan(const offline::PreprocessingPlan& plan);
 
-  /// Runs query `q`.  Party 0 passes the plaintext input; party 1 passes
-  /// nullptr and receives its input-share half over the session.  Returns
-  /// the jointly opened result (logits, or labels for argmax programs);
-  /// `stats_out`, when set, receives the query's metered traffic.
-  [[nodiscard]] ir::ExecResult run_query(const ir::SecureProgram& program,
-                                         const ir::CompiledParams& params, std::size_t q,
-                                         const nn::Tensor* input,
-                                         const RemoteSessionOptions& opts,
-                                         crypto::TrafficStats* stats_out = nullptr);
-
   /// Runs `lanes` queries batched inside ONE remote context (the
   /// two-process face of ir::execute_batch): every round group is shared
   /// across the lanes, so the chunk pays the comparison rounds of one
@@ -114,7 +105,8 @@ class PartySession {
   /// j's canonical seeds from stream position q + j (store claims decide
   /// positions under TripleSourceKind::store), so batched remote logits
   /// are bit-identical to the same queries run one at a time — local or
-  /// remote.
+  /// remote.  Returns the jointly opened result; `stats_out`, when set,
+  /// receives the chunk's metered traffic.
   /// `trace_out`, when set and a tracer is attached, receives the chunk's
   /// trace-counter totals; their rounds/bytes/messages are the metered
   /// window's TrafficStats, so they equal `stats_out`'s by construction.

@@ -84,9 +84,9 @@ class SecureNetwork {
 
   // --- Offline preprocessing (paper §II-B offline/online split) -----------
 
-  /// Canonical seed of the fresh per-query context that serves the query at
-  /// stream position q (infer_batch position q, or the q-th store-backed
-  /// infer()).  Public so the offline generator and the serving path agree.
+  /// Canonical seed of the fresh context an independent run of the query at
+  /// stream position q uses — what a serving lane at that position replays
+  /// (ChunkLanes).  Public so the offline generator and the serving path agree.
   [[nodiscard]] static std::uint64_t query_context_seed(std::size_t q) noexcept;
   /// Seed of the dealer inside that context — the seed the offline
   /// generator must use for query q's bundle to replay the dealer path.

@@ -13,6 +13,47 @@
 
 namespace pasnet::proto {
 
+/// Seeded like the fresh context of an independent run, which seeds its
+/// dealer with splitmix64(seed) (= SecureNetwork::query_dealer_seed) and
+/// prng(p) with splitmix64(seed ^ (p + 1)): that pins the lane's triples,
+/// share splits and truncation noise to that run's.
+ChunkLanes::Streams::Streams(const crypto::RingConfig& rc, std::uint64_t cseed)
+    : dealer(rc, crypto::splitmix64(cseed)),
+      prng0(crypto::splitmix64(cseed ^ 1)),
+      prng1(crypto::splitmix64(cseed ^ 2)) {}
+
+ChunkLanes::ChunkLanes(const crypto::RingConfig& rc, const std::vector<std::size_t>& positions,
+                       const std::vector<offline::QueryBundle*>& bundles,
+                       offline::ExhaustionPolicy policy) {
+  if (positions.empty()) throw std::invalid_argument("ChunkLanes: a chunk needs a lane");
+  if (!bundles.empty() && bundles.size() != positions.size()) {
+    throw std::invalid_argument("ChunkLanes: bundles must cover every lane");
+  }
+  context_seed_ = SecureNetwork::query_context_seed(positions[0]);
+  for (std::size_t j = 0; j < positions.size(); ++j) {
+    Streams& s = streams_.emplace_back(rc, SecureNetwork::query_context_seed(positions[j]));
+    if (bundles.empty()) {
+      s.source = std::make_unique<crypto::DealerTripleSource>(s.dealer, rc);
+    } else {
+      s.source = std::make_unique<offline::StoreTripleSource>(bundles[j], s.dealer, policy);
+    }
+    lanes_.push_back(ir::Lane{s.source.get(), &s.prng0, &s.prng1});
+  }
+}
+
+crypto::TripleCounters ChunkLanes::counters() const noexcept {
+  crypto::TripleCounters sum;
+  for (const ir::Lane& lane : lanes_) {
+    const crypto::TripleCounters& c = lane.triples->counters();
+    sum.elem_triples += c.elem_triples;
+    sum.square_pairs += c.square_pairs;
+    sum.matmul_triple_elems += c.matmul_triple_elems;
+    sum.bilinear_triple_elems += c.bilinear_triple_elems;
+    sum.bit_triples += c.bit_triples;
+  }
+  return sum;
+}
+
 Workload::Workload(SecureNetwork& net, WorkloadOptions opts) : net_(net), opts_(opts) {
   if (opts_.batch < 1) {
     throw std::invalid_argument("Workload: batch must be >= 1");
@@ -81,12 +122,18 @@ WorkloadResult Workload::run(const std::vector<nn::Tensor>& inputs) {
     const std::size_t hi = std::min(n, lo + lanes_per_chunk);
     const std::size_t lanes = hi - lo;
     // One fresh context per chunk, seeded with lane 0's canonical context
-    // seed; every lane draws correlated randomness from its OWN stream
-    // (its query's canonical dealer seed), which is what pins each lane's
-    // output to the independent single-query run of the same position.
-    crypto::TwoPartyContext cctx(net_.ring(),
-                                 SecureNetwork::query_context_seed(stream_position(lo)),
-                                 net_.exec_mode(), net_.round_delay());
+    // seed; every lane draws from its OWN canonical streams (ChunkLanes),
+    // which is what pins each lane's output to the independent one-lane run
+    // of the same position.
+    std::vector<std::size_t> positions;
+    std::vector<offline::QueryBundle*> bundles;
+    for (std::size_t q = lo; q < hi; ++q) {
+      positions.push_back(stream_position(q));
+      if (store_ != nullptr) bundles.push_back(claims[q].second);
+    }
+    const ChunkLanes chunk(net_.ring(), positions, bundles, policy_);
+    crypto::TwoPartyContext cctx(net_.ring(), chunk.context_seed(), net_.exec_mode(),
+                                 net_.round_delay());
     // Per-chunk tracer: the chunk's counters (its channel meter's traffic
     // included) become its ChunkStats::trace, then merge into the workload
     // tracer (concurrent chunk workers each own their tracer, so there is
@@ -94,42 +141,11 @@ WorkloadResult Workload::run(const std::vector<nn::Tensor>& inputs) {
     obs::Tracer chunk_tracer(tracing);
     if (tracing) cctx.set_tracer(&chunk_tracer);
     const std::uint64_t chunk_begin = tracing ? obs::Tracer::now_us() : 0;
-    std::vector<std::unique_ptr<crypto::TripleDealer>> lane_dealers;
-    std::vector<std::unique_ptr<crypto::TripleSource>> owned_sources;
-    std::vector<crypto::TripleSource*> lane_sources(lanes);
-    std::vector<std::unique_ptr<crypto::Prng>> owned_prngs;
-    std::vector<std::pair<crypto::Prng*, crypto::Prng*>> lane_prngs(lanes);
-    lane_dealers.reserve(lanes);
-    owned_sources.reserve(lanes);
-    owned_prngs.reserve(2 * lanes);
-    for (std::size_t j = 0; j < lanes; ++j) {
-      const std::size_t idx = stream_position(lo + j);
-      lane_dealers.push_back(std::make_unique<crypto::TripleDealer>(
-          net_.ring(), SecureNetwork::query_dealer_seed(idx)));
-      if (store_ != nullptr) {
-        owned_sources.push_back(std::make_unique<offline::StoreTripleSource>(
-            claims[lo + j].second, *lane_dealers.back(), policy_));
-      } else {
-        owned_sources.push_back(
-            std::make_unique<crypto::DealerTripleSource>(*lane_dealers.back(), net_.ring()));
-      }
-      lane_sources[j] = owned_sources.back().get();
-      // Per-lane share-randomness streams, seeded exactly like the fresh
-      // per-query context an independent run of position idx constructs —
-      // this is what pins each lane's share splits (and truncation noise)
-      // to that run's.
-      const std::uint64_t cseed = SecureNetwork::query_context_seed(idx);
-      owned_prngs.push_back(std::make_unique<crypto::Prng>(crypto::splitmix64(cseed ^ 1)));
-      lane_prngs[j].first = owned_prngs.back().get();
-      owned_prngs.push_back(std::make_unique<crypto::Prng>(crypto::splitmix64(cseed ^ 2)));
-      lane_prngs[j].second = owned_prngs.back().get();
-    }
 
     cctx.reset_stats();
     ir::BatchExecOptions bopts;
     bopts.cfg = net_.config();
-    bopts.lane_sources = lane_sources;
-    bopts.lane_prngs = lane_prngs;
+    bopts.lanes = chunk.lanes();
     const std::vector<nn::Tensor> chunk_inputs(inputs.begin() + static_cast<long>(lo),
                                                inputs.begin() + static_cast<long>(hi));
     ir::BatchExecResult br =
@@ -150,14 +166,12 @@ WorkloadResult Workload::run(const std::vector<nn::Tensor>& inputs) {
     cs.totals.weight_open_bytes = net_.weight_open_bytes();
     cs.totals.messages = chan.messages;
     cs.totals.rounds = chan.rounds;
-    for (const crypto::TripleSource* src : lane_sources) {
-      const crypto::TripleCounters& tc = src->counters();
-      cs.totals.elem_triples += tc.elem_triples;
-      cs.totals.square_pairs += tc.square_pairs;
-      cs.totals.matmul_triple_elems += tc.matmul_triple_elems;
-      cs.totals.bilinear_triple_elems += tc.bilinear_triple_elems;
-      cs.totals.bit_triples += tc.bit_triples;
-    }
+    const crypto::TripleCounters tc = chunk.counters();
+    cs.totals.elem_triples = tc.elem_triples;
+    cs.totals.square_pairs = tc.square_pairs;
+    cs.totals.matmul_triple_elems = tc.matmul_triple_elems;
+    cs.totals.bilinear_triple_elems = tc.bilinear_triple_elems;
+    cs.totals.bit_triples = tc.bit_triples;
     if (tracing) {
       chunk_tracer.complete_span("proto", "chunk", chunk_begin,
                                  static_cast<std::int64_t>(lanes));

@@ -8,15 +8,15 @@
 // run() executes queries in K-lane chunks inside single contexts
 // (ir::execute_batch): all K lanes of a chunk advance each round group in
 // lockstep, so comparison rounds are shared batch-wide and a K-query chunk
-// costs the rounds of ONE query.  Chunk contexts and per-lane triple
-// streams follow the canonical per-query seeding
-// (SecureNetwork::query_context_seed / query_dealer_seed of the query's
-// stream position), which makes every lane's output bit-identical to an
-// independent single-query run of the same stream position — batched,
-// worker-sharded, store-backed and dealer-backed serving all produce the
-// same bits.
+// costs the rounds of ONE query.  A chunk's lanes are a ChunkLanes built
+// from the queries' stream positions (and store bundles), so every lane's
+// output is bit-identical to an independent one-lane run of the same
+// stream position — batched, worker-sharded, store-backed and
+// dealer-backed serving all produce the same bits.
 
 #include <cstddef>
+#include <deque>
+#include <memory>
 #include <vector>
 
 #include "obs/tracer.hpp"
@@ -49,6 +49,45 @@ struct WorkloadOptions {
 struct WorkloadResult {
   std::vector<nn::Tensor> logits;        ///< one per query (logits workloads)
   std::vector<std::vector<int>> labels;  ///< one per query (classify workloads)
+};
+
+/// The lanes of one serving chunk: K queries sharing one context, each with
+/// the streams an independent one-lane run of its stream position p draws
+/// on its own fresh context seeded SecureNetwork::query_context_seed(p) — a
+/// TripleDealer on query_dealer_seed(p), served directly or through the
+/// lane's bundle, and that context's share-randomness pair.  Workload::run
+/// and net::PartySession::run_batch both build their lanes here, so it is
+/// the one place that knows how a lane is seeded.
+class ChunkLanes {
+ public:
+  /// `positions[j]` is lane j's stream position (at least one lane).
+  /// `bundles` is empty, and every lane serves its canonical dealer, or
+  /// holds one borrowed bundle per lane, served by offline::StoreTripleSource
+  /// under `policy` and read only at draw time.  A null bundle is a claim
+  /// past the end of a store or dealer: Throw raises TripleStoreExhausted
+  /// at the lane's first draw, Refill serves the lane's canonical dealer.
+  ChunkLanes(const crypto::RingConfig& rc, const std::vector<std::size_t>& positions,
+             const std::vector<offline::QueryBundle*>& bundles, offline::ExhaustionPolicy policy);
+  ChunkLanes(const ChunkLanes&) = delete;
+  ChunkLanes& operator=(const ChunkLanes&) = delete;
+
+  /// Seed of the chunk's context: lane 0's canonical context seed.
+  [[nodiscard]] std::uint64_t context_seed() const noexcept { return context_seed_; }
+  /// What ir::BatchExecOptions::lanes takes.
+  [[nodiscard]] const std::vector<ir::Lane>& lanes() const noexcept { return lanes_; }
+  /// Correlated randomness consumed so far, summed over the lanes.
+  [[nodiscard]] crypto::TripleCounters counters() const noexcept;
+
+ private:
+  struct Streams {
+    Streams(const crypto::RingConfig& rc, std::uint64_t cseed);
+    crypto::TripleDealer dealer;
+    std::unique_ptr<crypto::TripleSource> source;
+    crypto::Prng prng0, prng1;
+  };
+  std::deque<Streams> streams_;  // a deque keeps lanes_' pointers valid
+  std::vector<ir::Lane> lanes_;
+  std::uint64_t context_seed_ = 0;
 };
 
 /// Per-chunk statistics: communication/round totals are chunk-level (the

@@ -175,7 +175,7 @@ inline crypto::TrafficStats measured_program_traffic(const ir::SecureProgram& p)
   crypto::TwoPartyContext ctx;
   crypto::Prng wprng(1);
   const ir::CompiledParams params = ir::share_parameters(p, wprng, ctx.ring());
-  (void)ir::execute(p, params, ctx, nn::Tensor({1, p.input_ch, p.input_h, p.input_w}));
+  (void)ir::execute_batch(p, params, ctx, {nn::Tensor({1, p.input_ch, p.input_h, p.input_w})});
   return ctx.stats();
 }
 

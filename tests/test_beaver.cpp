@@ -46,16 +46,17 @@ TEST(Beaver, DealerBitTripleIsConsistent) {
 TEST(Beaver, CountersTrackConsumption) {
   pc::RingConfig rc{32, 12};
   pc::TripleDealer dealer(rc, 5);
-  (void)dealer.elem_triple(10);
-  (void)dealer.square_pair(7);
-  (void)dealer.matmul_triple(2, 3, 4);
-  (void)dealer.bit_triple(5);
-  EXPECT_EQ(dealer.counters().elem_triples, 10u);
-  EXPECT_EQ(dealer.counters().square_pairs, 7u);
-  EXPECT_EQ(dealer.counters().matmul_triple_elems, 2u * 3 + 3u * 4 + 2u * 4);
-  EXPECT_EQ(dealer.counters().bit_triples, 5u);
-  dealer.reset_counters();
-  EXPECT_EQ(dealer.counters().elem_triples, 0u);
+  pc::DealerTripleSource src(dealer, rc);
+  (void)src.elem_triple(10);
+  (void)src.square_pair(7);
+  (void)src.matmul_triple(2, 3, 4);
+  (void)src.bit_triple(5);
+  EXPECT_EQ(src.counters().elem_triples, 10u);
+  EXPECT_EQ(src.counters().square_pairs, 7u);
+  EXPECT_EQ(src.counters().matmul_triple_elems, 2u * 3 + 3u * 4 + 2u * 4);
+  EXPECT_EQ(src.counters().bit_triples, 5u);
+  src.reset_counters();
+  EXPECT_EQ(src.counters().elem_triples, 0u);
 }
 
 TEST(Beaver, RingMatmulMatchesNaive) {

@@ -67,7 +67,8 @@ struct RunResult {
   std::uint64_t bytes = 0;
 };
 
-/// One query through ir::execute, capturing every op's output shares.
+/// One query (one lane) through ir::execute_batch, capturing every op's
+/// output shares.
 /// Context / parameter seeds are fixed so two groupings of one program
 /// differ only in their open scheduling.
 RunResult run_program(const ir::SecureProgram& p, pc::ExecMode mode, const nn::Tensor& x,
@@ -75,14 +76,14 @@ RunResult run_program(const ir::SecureProgram& p, pc::ExecMode mode, const nn::T
   pc::TwoPartyContext ctx(pc::RingConfig{}, 42, mode);
   pc::Prng wprng(7);
   const ir::CompiledParams params = ir::share_parameters(p, wprng, ctx.ring());
-  ir::ExecOptions opts;
+  ir::BatchExecOptions opts;
   opts.cfg.ot_mode = ot;
   RunResult r;
-  opts.op_hook = [&r](std::size_t i, const proto::SecureTensor& t) {
+  opts.op_hook = [&r](std::size_t, std::size_t i, const proto::SecureTensor& t) {
     r.ops.idx.push_back(i);
     r.ops.shares.push_back(t.shares);
   };
-  r.logits = ir::execute(p, params, ctx, x, opts).logits;
+  r.logits = std::move(ir::execute_batch(p, params, ctx, {x}, opts).logits.at(0));
   r.rounds = ctx.stats().rounds;
   r.bytes = ctx.stats().total_bytes();
   return r;
@@ -205,9 +206,9 @@ nn::Tensor serve_from_store(const proto::SecureNetwork& snet, const ir::SecurePr
   pc::TripleDealer fallback(snet.ring(), proto::SecureNetwork::query_dealer_seed(q));
   off::StoreTripleSource source(bundle, fallback, off::ExhaustionPolicy::Throw);
   ctx.set_triple_source(&source);
-  ir::ExecOptions opts;
+  ir::BatchExecOptions opts;
   opts.cfg = snet.config();
-  return ir::execute(p, snet.params(), ctx, x, opts).logits;
+  return std::move(ir::execute_batch(p, snet.params(), ctx, {x}, opts).logits.at(0));
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <memory>
+#include <stdexcept>
 
 #include "ir/passes.hpp"
 #include "ir/plan.hpp"
@@ -71,13 +72,12 @@ nn::Tensor infer_one(proto::SecureNetwork& snet, const nn::Tensor& x,
 nn::Tensor infer_per_op(const proto::SecureNetwork& snet, const nn::Tensor& x,
                         pc::TrafficStats* stats = nullptr) {
   pc::TwoPartyContext ctx(snet.ring(), proto::SecureNetwork::query_context_seed(0));
-  ir::ExecOptions opts;
+  ir::BatchExecOptions opts;
   opts.cfg = snet.config();
-  nn::Tensor logits =
-      ir::execute(pasnet::testing::per_op_groups(snet.program()), snet.params(), ctx, x, opts)
-          .logits;
+  const ir::SecureProgram per_op = pasnet::testing::per_op_groups(snet.program());
+  ir::BatchExecResult res = ir::execute_batch(per_op, snet.params(), ctx, {x}, opts);
   if (stats != nullptr) *stats = ctx.stats();
-  return logits;
+  return std::move(res.logits.at(0));
 }
 
 }  // namespace
@@ -335,6 +335,66 @@ TEST(IrExecutor, ThreadedCoalescedMatchesLockstepBitForBit) {
   EXPECT_EQ(stats_lock.rounds, stats_thr.rounds);
 }
 
+TEST(IrExecutor, BatchRejectsLaneCountMismatches) {
+  // Per-lane options must cover exactly the batch's lanes: a `lanes` or
+  // `input_shares` vector of another length is refused before any draw or
+  // exchange, and the context stays usable.
+  auto t = train(tiny_cnn(nn::OpKind::x2act, nn::OpKind::avgpool), 64);
+  pc::TwoPartyContext compile_ctx;
+  proto::SecureNetwork snet(t.md, *t.graph, t.node_of_layer, compile_ctx);
+  const nn::Tensor x({1, 2, 8, 8});
+  pc::TwoPartyContext ctx;
+
+  ir::BatchExecOptions one_lane;
+  one_lane.lanes.resize(1);
+  EXPECT_THROW((void)ir::execute_batch(snet.program(), snet.params(), ctx, {x, x}, one_lane),
+               std::invalid_argument);
+
+  const proto::SecureTensor share = ir::share_client_input(x, ctx.ring());
+  ir::BatchExecOptions two_shares;
+  two_shares.input_shares = {&share, &share};
+  EXPECT_THROW((void)ir::execute_batch(snet.program(), snet.params(), ctx, {x}, two_shares),
+               std::invalid_argument);
+
+  EXPECT_EQ(ctx.stats().messages, 0u);
+  EXPECT_EQ(ir::execute_batch(snet.program(), snet.params(), ctx, {x}).logits.size(), 1u);
+}
+
+TEST(IrExecutor, NullBundleLaneThrowsOrRefillsAndRestoresTheContext) {
+  // A lane whose store claim came back empty: under Throw it raises at its
+  // first draw, mid-round-group, and the context must not keep the dying
+  // lane's streams installed; under Refill it serves its canonical dealer.
+  auto t = train(tiny_cnn(nn::OpKind::relu, nn::OpKind::maxpool), 66);
+  pc::TwoPartyContext compile_ctx;
+  proto::SecureNetwork snet(t.md, *t.graph, t.node_of_layer, compile_ctx);
+  const nn::Tensor x({1, 2, 8, 8});
+  const auto run = [&](const std::vector<off::QueryBundle*>& bundles, off::ExhaustionPolicy p) {
+    const proto::ChunkLanes chunk(snet.ring(), {0}, bundles, p);
+    pc::TwoPartyContext ctx(snet.ring(), chunk.context_seed());
+    ir::BatchExecOptions opts;
+    opts.lanes = chunk.lanes();
+    ir::BatchExecResult res;
+    EXPECT_NO_THROW(res = ir::execute_batch(snet.program(), snet.params(), ctx, {x}, opts));
+    return res;
+  };
+  {
+    const proto::ChunkLanes dry(snet.ring(), {0}, {nullptr}, off::ExhaustionPolicy::Throw);
+    pc::TwoPartyContext ctx(snet.ring(), dry.context_seed());
+    ir::BatchExecOptions opts;
+    opts.lanes = dry.lanes();
+    EXPECT_THROW((void)ir::execute_batch(snet.program(), snet.params(), ctx, {x}, opts),
+                 off::TripleStoreExhausted);
+    EXPECT_EQ(ctx.installed_triple_source(), nullptr);
+    EXPECT_EQ(ctx.prng_override(0), nullptr);
+    EXPECT_EQ(ctx.prng_override(1), nullptr);
+  }
+  const ir::BatchExecResult refill = run({nullptr}, off::ExhaustionPolicy::Refill);
+  const ir::BatchExecResult dealer = run({}, off::ExhaustionPolicy::Throw);
+  ASSERT_EQ(refill.logits.size(), 1u);
+  ASSERT_EQ(dealer.logits.size(), 1u);
+  expect_bit_identical(refill.logits[0], dealer.logits[0], "refilled null bundle vs dealer");
+}
+
 // ---------------------------------------------------------------------------
 // Statically derived plan vs the dry-run recorder oracle
 // ---------------------------------------------------------------------------
@@ -354,10 +414,10 @@ TEST(IrPlan, DerivedPlanMatchesRecorderOracleOnAllModels) {
     dry.set_triple_source(&recorder);
     pc::Prng wprng(1);
     const ir::CompiledParams params = ir::share_parameters(p, wprng, dry.ring());
-    ir::ExecOptions opts;
-    opts.layer_hook = [&recorder](int layer) { recorder.begin_layer(layer); };
+    ir::BatchExecOptions opts;
+    opts.layer_hook = [&recorder](std::size_t, int layer) { recorder.begin_layer(layer); };
     const nn::Tensor zeros({1, t.md.input_ch, t.md.input_h, t.md.input_w});
-    (void)ir::execute(p, params, dry, zeros, opts);
+    (void)ir::execute_batch(p, params, dry, {zeros}, opts);
     const off::PreprocessingPlan recorded = recorder.take_plan();
 
     ASSERT_EQ(derived.requests.size(), recorded.requests.size()) << t.md.name;
@@ -381,11 +441,12 @@ TEST(IrPlan, DerivedPlanMatchesOracleForArgmaxPrograms) {
   dry.set_triple_source(&recorder);
   pc::Prng wprng(1);
   const ir::CompiledParams params = ir::share_parameters(p, wprng, dry.ring());
-  ir::ExecOptions opts;
-  opts.layer_hook = [&recorder](int layer) { recorder.begin_layer(layer); };
-  const ir::ExecResult res =
-      ir::execute(p, params, dry, nn::Tensor({1, 2, 8, 8}), opts);
-  EXPECT_EQ(res.labels.size(), 1u);
+  ir::BatchExecOptions opts;
+  opts.layer_hook = [&recorder](std::size_t, int layer) { recorder.begin_layer(layer); };
+  const ir::BatchExecResult res =
+      ir::execute_batch(p, params, dry, {nn::Tensor({1, 2, 8, 8})}, opts);
+  ASSERT_EQ(res.labels.size(), 1u);
+  EXPECT_EQ(res.labels[0].size(), 1u);
   const off::PreprocessingPlan recorded = recorder.take_plan();
   ASSERT_EQ(derived.requests.size(), recorded.requests.size());
   for (std::size_t i = 0; i < derived.requests.size(); ++i) {

@@ -255,9 +255,9 @@ TEST(ObsTracer, FlushGroupSpansAreDirectChildrenOfExecuteBatch) {
   obs::Tracer tracer;
   ctx.set_tracer(&tracer);
   pc::Prng dprng(73);
-  (void)pasnet::ir::execute(
+  (void)pasnet::ir::execute_batch(
       snet.program(), snet.params(), ctx,
-      nn::Tensor::randn({1, md.input_ch, md.input_h, md.input_w}, dprng, 0.5f));
+      {nn::Tensor::randn({1, md.input_ch, md.input_h, md.input_w}, dprng, 0.5f)});
 
   const std::vector<obs::TraceEvent> events = tracer.events();
   int flushes = 0;

@@ -524,7 +524,9 @@ TEST(IdealOtRefusal, RemoteContextRefusesCorrelatedModeWithoutHatch) {
 TEST(OtExtTriples, OnlineSourceServesPlanOrderAndThrowsWhenDry) {
   const off::PreprocessingPlan plan = all_kinds_plan();
   pc::TwoPartyContext ctx;
-  off::OtExtTripleSource src(plan, ctx, 0xD00DULL);
+  off::QueryBundle bundle;
+  off::generate_bundles_ot_ext(plan, ctx, {0xD00DULL}, &bundle);
+  off::StoreTripleSource src(&bundle, ctx.dealer(), off::ExhaustionPolicy::Throw);
   const off::QueryBundle want = dealer_bundle(plan, 0xD00DULL);
   const pc::ElemTriple e = src.elem_triple(5);
   EXPECT_EQ(e.z.s0, want.elem[0].z.s0);

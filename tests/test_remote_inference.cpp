@@ -65,7 +65,7 @@ struct RemoteFixture {
 };
 
 struct PartyOutcome {
-  std::vector<ir::ExecResult> results;
+  std::vector<ir::BatchExecResult> results;  ///< one one-lane chunk per query
   std::vector<pc::TrafficStats> stats;
 };
 
@@ -86,9 +86,10 @@ std::pair<PartyOutcome, PartyOutcome> run_remote(
     const net::RemoteSessionOptions ropts = make_opts(party);
     for (std::size_t q = 0; q < f.queries.size(); ++q) {
       pc::TrafficStats stats;
-      out.results.push_back(session.run_query(program, f.snet->params(), q,
-                                              party == 0 ? &f.queries[q] : nullptr, ropts,
-                                              &stats));
+      const std::vector<nn::Tensor> input{f.queries[q]};
+      out.results.push_back(session.run_batch(program, f.snet->params(), q,
+                                              party == 0 ? &input : nullptr, /*lanes=*/1,
+                                              ropts, &stats));
       out.stats.push_back(stats);
     }
     return out;
@@ -98,15 +99,16 @@ std::pair<PartyOutcome, PartyOutcome> run_remote(
   return {std::move(p0), side1.get()};
 }
 
-/// In-process reference transcript: fresh per-query context with the
-/// canonical seed, in the requested exec mode.
-ir::ExecResult reference_query(const RemoteFixture& f, const ir::SecureProgram& program,
-                               std::size_t q, pc::ExecMode mode, proto::SecureConfig cfg,
-                               pc::TrafficStats* stats_out) {
+/// In-process reference transcript: one lane on a fresh per-query context
+/// with the canonical seed, in the requested exec mode.
+ir::BatchExecResult reference_query(const RemoteFixture& f, const ir::SecureProgram& program,
+                                    std::size_t q, pc::ExecMode mode, proto::SecureConfig cfg,
+                                    pc::TrafficStats* stats_out) {
   pc::TwoPartyContext qctx(pc::RingConfig{}, proto::SecureNetwork::query_context_seed(q), mode);
-  ir::ExecOptions opts;
+  ir::BatchExecOptions opts;
   opts.cfg = cfg;
-  ir::ExecResult res = ir::execute(program, f.snet->params(), qctx, f.queries[q], opts);
+  ir::BatchExecResult res =
+      ir::execute_batch(program, f.snet->params(), qctx, {f.queries[q]}, opts);
   if (stats_out != nullptr) *stats_out = qctx.stats();
   return res;
 }
@@ -116,6 +118,13 @@ void expect_same_logits(const nn::Tensor& a, const nn::Tensor& b, const char* wh
   for (std::size_t i = 0; i < a.size(); ++i) {
     ASSERT_EQ(a[i], b[i]) << what << " element " << i;
   }
+}
+
+/// Lane-for-lane expect_same_logits (argmax programs have no logits).
+void expect_same_logits(const std::vector<nn::Tensor>& a, const std::vector<nn::Tensor>& b,
+                        const char* what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t j = 0; j < a.size(); ++j) expect_same_logits(a[j], b[j], what);
 }
 
 /// ot-ext remote runs draw their triple halves from role-private entropy,
@@ -138,7 +147,7 @@ void expect_remote_matches_reference(const RemoteFixture& f, const ir::SecurePro
   const auto& [p0, p1] = outcome;
   for (std::size_t q = 0; q < f.queries.size(); ++q) {
     pc::TrafficStats ref_stats;
-    const ir::ExecResult ref =
+    const ir::BatchExecResult ref =
         reference_query(f, program, q, pc::ExecMode::threaded, cfg, &ref_stats);
     // Both processes reveal the same result...
     expect_same_logits(p0.results[q].logits, ref.logits, "party0 vs threaded reference");
@@ -155,7 +164,7 @@ void expect_remote_matches_reference(const RemoteFixture& f, const ir::SecurePro
     }
     // Lockstep reference agrees too (threaded == lockstep bit-identity is
     // re-pinned here on the same transcript).
-    const ir::ExecResult lockstep =
+    const ir::BatchExecResult lockstep =
         reference_query(f, program, q, pc::ExecMode::lockstep, cfg, nullptr);
     expect_same_logits(lockstep.logits, ref.logits, "lockstep vs threaded");
   }
@@ -209,7 +218,7 @@ TEST(RemoteInference, EagerScheduleMatchesToo) {
   expect_remote_matches_reference(f, per_op, cfg, stored);
 
   for (std::size_t q = 0; q < f.queries.size(); ++q) {
-    const ir::ExecResult scheduled =
+    const ir::BatchExecResult scheduled =
         reference_query(f, f.snet->program(), q, pc::ExecMode::lockstep, cfg, nullptr);
     expect_same_logits(fused.first.results[q].logits, scheduled.logits,
                        "per-op groups vs scheduled");
@@ -284,14 +293,14 @@ TEST(RemoteInference, OtExtServedTwoProcessMatchesWithNoIdealOtHatch) {
   const auto& [p0, p1] = outcome;
   for (std::size_t q = 0; q < f.queries.size(); ++q) {
     pc::TrafficStats ref_stats;
-    const ir::ExecResult ref =
+    const ir::BatchExecResult ref =
         reference_query(f, f.snet->program(), q, pc::ExecMode::threaded, cfg, &ref_stats);
     // The joint opening reveals one value: both endpoints agree exactly.
     expect_same_logits(p0.results[q].logits, p1.results[q].logits, "party0 vs party1");
     EXPECT_EQ(p0.results[q].labels, p1.results[q].labels) << "query " << q;
     // Role-private triples shift the share split, so vs the canonical
     // reference only truncation-level closeness holds.
-    expect_close_logits(p0.results[q].logits, ref.logits, "ot-ext vs dealer reference");
+    expect_close_logits(p0.results[q].logits.at(0), ref.logits.at(0), "ot-ext vs dealer reference");
     // Message sizes depend on shapes, not values: the online transcript
     // shape is unchanged by the randomness swap.
     for (const pc::TrafficStats* s : {&p0.stats[q], &p1.stats[q]}) {
@@ -313,7 +322,8 @@ TEST(RemoteInference, OtExtServedTwoProcessMatchesWithNoIdealOtHatch) {
 
 TEST(RemoteInference, OtExtInProcessLockstepAndThreadedMatchDealerPath) {
   // The same OT-ext material serves the in-process execution modes too:
-  // per-query contexts with an OtExtTripleSource installed reproduce the
+  // per-query contexts serving a generated OT-ext bundle through a
+  // StoreTripleSource (what run_batch does) reproduce the
   // fused dealer path's logits in lockstep AND threaded mode, for both the
   // ReLU and the polynomial test models.
   for (const bool poly : {false, true}) {
@@ -322,18 +332,20 @@ TEST(RemoteInference, OtExtInProcessLockstepAndThreadedMatchDealerPath) {
     const proto::SecureConfig cfg;
     const off::PreprocessingPlan plan = proto::Workload(*f.snet).plan();
     for (std::size_t q = 0; q < f.queries.size(); ++q) {
-      const ir::ExecResult ref =
+      const ir::BatchExecResult ref =
           reference_query(f, f.snet->program(), q, pc::ExecMode::lockstep, cfg, nullptr);
       for (const pc::ExecMode mode : {pc::ExecMode::lockstep, pc::ExecMode::threaded}) {
         pc::TwoPartyContext qctx(pc::RingConfig{}, proto::SecureNetwork::query_context_seed(q),
                                  mode);
-        off::OtExtTripleSource src(plan, qctx,
-                                   proto::SecureNetwork::query_dealer_seed(q));
+        off::QueryBundle bundle;
+        off::generate_bundles_ot_ext(plan, qctx, {proto::SecureNetwork::query_dealer_seed(q)},
+                                     &bundle);
+        off::StoreTripleSource src(&bundle, qctx.dealer(), off::ExhaustionPolicy::Throw);
         qctx.set_triple_source(&src);
-        ir::ExecOptions opts;
+        ir::BatchExecOptions opts;
         opts.cfg = cfg;
-        const ir::ExecResult res =
-            ir::execute(f.snet->program(), f.snet->params(), qctx, f.queries[q], opts);
+        const ir::BatchExecResult res =
+            ir::execute_batch(f.snet->program(), f.snet->params(), qctx, {f.queries[q]}, opts);
         expect_same_logits(res.logits, ref.logits,
                            poly ? "ot-ext poly model" : "ot-ext relu model");
       }
@@ -380,6 +392,7 @@ TEST(RemoteInference, LabelOnlyClassifyProgramMatches) {
   expect_remote_matches_reference(f, program, cfg, outcome);
   for (std::size_t q = 0; q < f.queries.size(); ++q) {
     ASSERT_EQ(outcome.first.results[q].labels.size(), 1u);
+    EXPECT_EQ(outcome.first.results[q].labels[0].size(), 1u);
     EXPECT_EQ(outcome.first.results[q].labels, outcome.second.results[q].labels);
   }
 }
@@ -418,10 +431,10 @@ TEST(RemoteInference, BatchedRemoteChunkBitIdenticalToPerQueryRunsWithFewerRound
   std::uint64_t per_query_rounds = 0;
   for (std::size_t q = 0; q < f.queries.size(); ++q) {
     pc::TrafficStats ref_stats;
-    const ir::ExecResult ref =
+    const ir::BatchExecResult ref =
         reference_query(f, f.snet->program(), q, pc::ExecMode::lockstep, cfg, &ref_stats);
-    expect_same_logits(p0.first.logits[q], ref.logits, "party0 batched vs independent");
-    expect_same_logits(p1.first.logits[q], ref.logits, "party1 batched vs independent");
+    expect_same_logits(p0.first.logits[q], ref.logits.at(0), "party0 batched vs independent");
+    expect_same_logits(p1.first.logits[q], ref.logits.at(0), "party1 batched vs independent");
     per_query_rounds += ref_stats.rounds;
   }
   // The chunk's round count is shared across lanes: well under the summed
@@ -450,10 +463,10 @@ TEST(RemoteInference, BatchedRemoteStoreServedMatchesIndependentRuns) {
     return o;
   });
   for (std::size_t q = 0; q < f.queries.size(); ++q) {
-    const ir::ExecResult ref =
+    const ir::BatchExecResult ref =
         reference_query(f, f.snet->program(), q, pc::ExecMode::lockstep, cfg, nullptr);
-    expect_same_logits(p0.first.logits[q], ref.logits, "party0 store batched");
-    expect_same_logits(p1.first.logits[q], ref.logits, "party1 store batched");
+    expect_same_logits(p0.first.logits[q], ref.logits.at(0), "party0 store batched");
+    expect_same_logits(p1.first.logits[q], ref.logits.at(0), "party1 store batched");
   }
 }
 
@@ -479,10 +492,10 @@ TEST(RemoteInference, BatchedRemoteDealerServedMatchesIndependentRuns) {
       return o;
     });
     for (std::size_t q = 0; q < f.queries.size(); ++q) {
-      const ir::ExecResult ref =
+      const ir::BatchExecResult ref =
           reference_query(f, f.snet->program(), q, pc::ExecMode::lockstep, cfg, nullptr);
-      expect_same_logits(p0.first.logits[q], ref.logits, "party0 dealer batched");
-      expect_same_logits(p1.first.logits[q], ref.logits, "party1 dealer batched");
+      expect_same_logits(p0.first.logits[q], ref.logits.at(0), "party0 dealer batched");
+      expect_same_logits(p1.first.logits[q], ref.logits.at(0), "party1 dealer batched");
     }
   }
   dealer_thread.join();
@@ -504,13 +517,13 @@ TEST(RemoteInference, BatchedRemoteOtExtServedMatchesIndependentRuns) {
     return o;
   });
   for (std::size_t q = 0; q < f.queries.size(); ++q) {
-    const ir::ExecResult ref =
+    const ir::BatchExecResult ref =
         reference_query(f, f.snet->program(), q, pc::ExecMode::lockstep, cfg, nullptr);
     // Endpoints reveal identically; role-private triples keep the result
     // only truncation-close to the canonical independent runs.
     expect_same_logits(p0.first.logits[q], p1.first.logits[q],
                        "party0 vs party1 ot-ext batched");
-    expect_close_logits(p0.first.logits[q], ref.logits, "ot-ext batched vs reference");
+    expect_close_logits(p0.first.logits[q], ref.logits.at(0), "ot-ext batched vs reference");
   }
   // One offline window generated both lanes' bundles; both meters agree
   // with the two-lane analytic witness.
